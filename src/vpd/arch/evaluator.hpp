@@ -23,9 +23,10 @@ namespace vpd {
 /// per solve with the fully assembled request (operator, VR legs, sink
 /// vector, resolved solve options). The batch evaluation engine
 /// (core/batch.hpp) uses it twice: a probe hook records the request and
-/// aborts the evaluation, and a replay hook injects a result that was
-/// solved as part of a multi-RHS panel. Process-local plumbing like
-/// mesh_cache and trace: never on the wire, ignored by the io schema.
+/// aborts the evaluation, and a replay hook injects a result solved once
+/// for every group member that drew the same sink vector. Process-local
+/// plumbing like mesh_cache and trace: never on the wire, ignored by the
+/// io schema.
 class DistributionSolveHook {
  public:
   virtual ~DistributionSolveHook() = default;
@@ -104,10 +105,9 @@ struct EvaluationOptions {
   /// default) selects automatically by mesh size: IC(0) below
   /// kAutoMultigridMeshNodes nodes per edge — it cuts CG iteration counts
   /// several-fold over Jacobi on mesh operators — and kMultigrid at or
-  /// above, where its mesh-size-independent iteration count wins and the
-  /// V-cycle amortizes best across batched panels. Set explicitly to
-  /// override the automatic choice; every choice converges to the same
-  /// certified criterion. See resolved_irdrop_preconditioner().
+  /// above, where its mesh-size-independent iteration count wins. Set
+  /// explicitly to override the automatic choice; every choice converges
+  /// to the same certified criterion. See resolved_irdrop_preconditioner().
   std::optional<CgPreconditioner> irdrop_preconditioner;
   /// Shared cache of assembled mesh operators; nullptr = assemble per
   /// call. The cache is thread-safe and must outlive the evaluation; a

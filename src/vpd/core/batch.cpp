@@ -49,11 +49,11 @@ class ProbeHook final : public DistributionSolveHook {
   bool* has_request_;
 };
 
-/// Injects a result solved outside the evaluation (group panel or shared
-/// scalar solve), along with the probe-time operator assembly so the
-/// replayed evaluation touches the mesh cache exactly once per point. A
-/// second solve in one evaluation is unexpected; it falls through to the
-/// scalar path, which is always correct.
+/// Injects a result solved outside the evaluation (a group's solve or the
+/// point's own scalar solve), along with the probe-time operator assembly
+/// so the replayed evaluation touches the mesh cache exactly once per
+/// point. A second solve in one evaluation is unexpected; it falls through
+/// to the scalar path, which is always correct.
 class ReplayHook final : public DistributionSolveHook {
  public:
   ReplayHook(std::shared_ptr<const AssembledMesh> assembled,
@@ -92,13 +92,9 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
 }
 
 EvaluationBatch::EvaluationBatch(PowerDeliverySpec spec,
-                                 std::vector<EvaluationPoint> points,
-                                 BatchConfig config)
-    : spec_(spec), points_(std::move(points)), config_(config) {
+                                 std::vector<EvaluationPoint> points)
+    : spec_(spec), points_(std::move(points)) {
   spec_.validate();
-  VPD_REQUIRE(config_.min_group_size >= 2,
-              "min_group_size must be >= 2 (a one-column panel is just a "
-              "scalar solve)");
   records_.resize(points_.size());
   entries_.resize(points_.size());
   errors_.resize(points_.size());
@@ -185,7 +181,7 @@ std::size_t EvaluationBatch::plan() {
     }
   }
 
-  // Keep multi-member groups as panel units; everything else (singleton
+  // Keep multi-member groups as group units; everything else (singleton
   // operators) takes the scalar path. Within a kept group, value-identical
   // sink vectors collapse onto one shared solve — the solver is
   // deterministic in its inputs, so sharing is bit-identical to solving
@@ -193,7 +189,7 @@ std::size_t EvaluationBatch::plan() {
   std::vector<Group> kept;
   std::vector<char> scalar(points_.size(), 0);
   for (Group& g : groups_) {
-    if (g.members.size() < config_.min_group_size) {
+    if (g.members.size() < 2) {
       for (std::size_t m : g.members) scalar[m] = 1;
       continue;
     }
@@ -278,24 +274,14 @@ void EvaluationBatch::execute_group(const Group& group) {
   const auto solve_start = std::chrono::steady_clock::now();
   const ProbeRecord& lead = records_[group.members.front()];
   std::vector<IrDropResult> solved;
+  solved.reserve(group.distinct.size());
   try {
-    if (group.distinct.size() == 1) {
-      // Every member drew the same right-hand side: one scalar solve,
-      // shared bit-exactly (a one-column panel would be the same solve
-      // with extra bookkeeping).
+    // Members share the lead's operator, legs and options, so each
+    // distinct sink vector solves exactly as its owner's un-hooked
+    // evaluation would.
+    for (std::size_t m : group.distinct) {
       solved.push_back(solve_irdrop(*lead.assembled, lead.legs,
-                                    records_[group.distinct[0]].sinks,
-                                    lead.solve_options));
-    } else {
-      std::vector<Vector> sink_maps;
-      sink_maps.reserve(group.distinct.size());
-      for (std::size_t m : group.distinct) {
-        sink_maps.push_back(records_[m].sinks);
-      }
-      IrDropOptions options = lead.solve_options;
-      options.batch_block = config_.block;
-      solved = solve_irdrop_batch(*lead.assembled, lead.legs, sink_maps,
-                                  options);
+                                    records_[m].sinks, lead.solve_options));
     }
   } catch (...) {
     // Group solve failed: take the scalar path per member, which
@@ -335,7 +321,7 @@ void EvaluationBatch::rethrow_first_error() const {
 
 std::vector<ExplorationEntry> evaluate_batch_with_exclusion(
     const PowerDeliverySpec& spec, std::vector<EvaluationPoint> points,
-    const BatchConfig& config, BatchStats* stats) {
+    BatchStats* stats) {
   // A shared assembly cache makes same-operator detection cheap (pointer
   // identity) and mesh assembly once-per-geometry; wiring it here changes
   // no bits (cached assembly is identical to per-call assembly).
@@ -345,7 +331,7 @@ std::vector<ExplorationEntry> evaluate_batch_with_exclusion(
       point.options.mesh_cache = &cache;
     }
   }
-  EvaluationBatch batch(spec, std::move(points), config);
+  EvaluationBatch batch(spec, std::move(points));
   batch.run();
   batch.rethrow_first_error();
   if (stats != nullptr) *stats = batch.stats();

@@ -1,6 +1,6 @@
-// Batch-first evaluation: the group-detecting front end that routes many
-// evaluation points through the multi-RHS block solver (solve_irdrop_batch)
-// instead of one scalar solve per point.
+// Batch-first evaluation: the group-detecting front end that evaluates
+// many points with one distribution solve per distinct same-operator
+// request instead of one solve per point.
 //
 // An EvaluationBatch runs in three phases:
 //
@@ -17,20 +17,18 @@
 //                Grouping is deterministic in input order and independent
 //                of thread count or mesh-cache wiring. Within a group,
 //                value-identical sink vectors deduplicate onto one shared
-//                scalar solve (bit-identical to solving each separately).
-//   3. execute — each multi-point group solves its distinct right-hand
-//                sides through solve_irdrop_batch (block-CG panels by
-//                default; a sequential loop bit-identical to the scalar
-//                path when BatchConfig::block is false) and replays every
-//                member's evaluation with the injected result. Singleton
-//                groups fall back to the plain scalar evaluation.
+//                solve.
+//   3. execute — each multi-point group solves its distinct sink vectors
+//                one by one with solve_irdrop on the probe-time assembly
+//                and replays every member's evaluation with the injected
+//                result. Singleton groups take the plain scalar path.
 //
-// Correctness contract: with block=false every entry is bit-identical to a
-// scalar evaluate_with_exclusion of the same point. With block=true (the
-// default) grouped solves run as certified block-CG panels — the same
-// backward-error tolerance, not the same bits; deduplicated and singleton
-// points stay bit-identical in both modes. Errors surface per point, the
-// first one in input order rethrown by rethrow_first_error().
+// Correctness contract: every entry is bit-identical to a scalar
+// evaluate_with_exclusion of the same point — each injected result is the
+// solve the un-hooked evaluation would run, and the solver is
+// deterministic in its inputs, so a shared solve equals solving each copy.
+// Errors surface per point, the first one in input order rethrown by
+// rethrow_first_error().
 #pragma once
 
 #include <cstddef>
@@ -53,17 +51,6 @@ struct EvaluationPoint {
   EvaluationOptions options;
 };
 
-struct BatchConfig {
-  /// Solve grouped points as block-CG panels (counts cg_block_panels /
-  /// cg_block_columns; certified backward error, not bit-identical to the
-  /// loop). false runs each group as a sequential loop over its distinct
-  /// right-hand sides, bit-identical to the scalar path.
-  bool block{true};
-  /// Minimum members for a group to solve together; smaller groups fall
-  /// back to the scalar path. >= 2 (a 1-panel is just a scalar solve).
-  std::size_t min_group_size{2};
-};
-
 /// Deterministic accounting of one batch run (plan() fills every field;
 /// execute() never changes them).
 struct BatchStats {
@@ -71,7 +58,9 @@ struct BatchStats {
   std::size_t groups{0};          // multi-point same-operator groups
   std::size_t grouped_points{0};  // points solved through a group
   std::size_t scalar_points{0};   // singletons + pre-solve completions
-  /// Distinct right-hand sides solved through solve_irdrop_batch.
+  /// Distinct right-hand sides solved by same-operator groups that have
+  /// at least two (a group whose members all drew one sink vector counts
+  /// under deduped_solves only).
   std::size_t panel_columns{0};
   /// Group members whose sink vector matched another member's exactly and
   /// shared its solve (bit-identical to solving twice).
@@ -83,8 +72,7 @@ struct BatchStats {
 class EvaluationBatch {
  public:
   /// Validates the spec and takes ownership of the points.
-  EvaluationBatch(PowerDeliverySpec spec, std::vector<EvaluationPoint> points,
-                  BatchConfig config = {});
+  EvaluationBatch(PowerDeliverySpec spec, std::vector<EvaluationPoint> points);
 
   EvaluationBatch(const EvaluationBatch&) = delete;
   EvaluationBatch& operator=(const EvaluationBatch&) = delete;
@@ -115,7 +103,7 @@ class EvaluationBatch {
   ExplorationEntry& entry(std::size_t index);
   std::exception_ptr error(std::size_t index) const;
   /// Wall time attributed to the point: its probe plus its share of the
-  /// group solve plus its replay. Scheduling-dependent, like SweepStats.
+  /// group's solves plus its replay. Scheduling-dependent, like SweepStats.
   double wall_seconds(std::size_t index) const;
 
   /// Valid after plan().
@@ -155,7 +143,6 @@ class EvaluationBatch {
 
   PowerDeliverySpec spec_;
   std::vector<EvaluationPoint> points_;
-  BatchConfig config_;
   std::vector<ProbeRecord> records_;
   std::vector<ExplorationEntry> entries_;
   std::vector<std::exception_ptr> errors_;
@@ -173,6 +160,6 @@ class EvaluationBatch {
 /// non-null, receives the batch accounting.
 std::vector<ExplorationEntry> evaluate_batch_with_exclusion(
     const PowerDeliverySpec& spec, std::vector<EvaluationPoint> points,
-    const BatchConfig& config = {}, BatchStats* stats = nullptr);
+    BatchStats* stats = nullptr);
 
 }  // namespace vpd

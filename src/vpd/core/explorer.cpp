@@ -70,7 +70,7 @@ ExplorationEntry ArchitectureExplorer::evaluate(
 ExplorationResult ArchitectureExplorer::explore(DeviceTechnology tech) const {
   // Serial exploration rides the same batch engine as the parallel sweep
   // (core/batch.hpp), so both share one code path end to end: same
-  // grouping, same panel routing, same results for the same point list.
+  // grouping, same dedup, same results for the same point list.
   std::vector<EvaluationPoint> points;
   points.push_back(EvaluationPoint{ArchitectureKind::kA0_PcbConversion,
                                    std::nullopt, tech, options_});
@@ -82,8 +82,7 @@ ExplorationResult ArchitectureExplorer::explore(DeviceTechnology tech) const {
   }
   ExplorationResult result;
   result.spec = spec_;
-  result.entries =
-      evaluate_batch_with_exclusion(spec_, std::move(points), BatchConfig{});
+  result.entries = evaluate_batch_with_exclusion(spec_, std::move(points));
   return result;
 }
 

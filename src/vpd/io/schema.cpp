@@ -369,6 +369,12 @@ EvaluationOptions evaluation_options_from_json(const Value& v) {
   FieldReader r(v, "options");
   EvaluationOptions options;
   options.mesh_nodes = index_or(r, "mesh_nodes", options.mesh_nodes);
+  if (options.mesh_nodes > kMaxMeshNodes) {
+    throw InvalidArgument(detail::concat("options.mesh_nodes: ",
+                                         options.mesh_nodes,
+                                         " exceeds the limit of ",
+                                         kMaxMeshNodes));
+  }
   options.distribution_sheet_ohms = number_or(
       r, "distribution_sheet_ohms", options.distribution_sheet_ohms);
   options.vr_attach_series =

@@ -50,6 +50,12 @@ namespace io {
 /// the unified telemetry shape (obs::kTelemetrySchemaVersion mirrors it).
 inline constexpr int kSchemaVersion = 2;
 
+/// Largest "mesh_nodes" (nodes per mesh edge) a wire request may ask for.
+/// The cost of one evaluation grows with its square, so an unbounded value
+/// would reach the allocator; 512 is the largest mesh any in-repo bench
+/// solves. Parsing rejects anything above it with InvalidArgument.
+inline constexpr std::size_t kMaxMeshNodes = 512;
+
 /// Validates an optional "schema_version" member of `v`: absent (v1) and
 /// 1..kSchemaVersion are accepted, anything else throws InvalidArgument
 /// naming `what`. Call sites parse the rest of the object normally — the

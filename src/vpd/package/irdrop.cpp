@@ -79,10 +79,10 @@ void build_sink_rhs(const GridMesh& mesh, const Vector& sink_currents,
 }
 
 /// Validates the attachments and folds them in by Norton equivalence:
-/// shunt conductance onto the diagonal (when `a` is non-null — batch
-/// solves stamp the shared operator once) and source injection into rhs.
+/// shunt conductance onto the diagonal of `a` and source injection into
+/// rhs.
 void stamp_vr_shunts(const GridMesh& mesh,
-                     const std::vector<VrAttachment>& vrs, CsrMatrix* a,
+                     const std::vector<VrAttachment>& vrs, CsrMatrix& a,
                      Vector& rhs) {
   for (const VrAttachment& vr : vrs) {
     VPD_REQUIRE(vr.node < mesh.node_count(), "VR node ", vr.node,
@@ -90,14 +90,12 @@ void stamp_vr_shunts(const GridMesh& mesh,
     VPD_REQUIRE(vr.series.value > 0.0,
                 "VR series resistance must be positive");
     const double g = 1.0 / vr.series.value;
-    if (a != nullptr) a->add_to_entry(vr.node, vr.node, g);
+    a.add_to_entry(vr.node, vr.node, g);
     rhs[vr.node] += g * vr.source_voltage.value;
   }
 }
 
-/// Derives the output metrics from a converged solve. Shared by the
-/// single and batch paths so their per-map results are computed
-/// identically.
+/// Derives the output metrics from a converged solve.
 IrDropResult extract_result(const GridMesh& mesh,
                             const std::vector<VrAttachment>& vrs,
                             CgResult&& cg, std::size_t floating,
@@ -170,7 +168,7 @@ IrDropResult solve_assembled(const GridMesh& mesh, const CsrMatrix& base,
   thread_local Vector rhs;
   a = base;
   build_sink_rhs(mesh, sink_currents, rhs);
-  stamp_vr_shunts(mesh, vrs, &a, rhs);
+  stamp_vr_shunts(mesh, vrs, a, rhs);
 
   // Only a perturbed mesh can sever nodes (nominal grids are connected and
   // every edge conductance is positive), so the nominal path skips the
@@ -222,73 +220,6 @@ IrDropResult solve_irdrop(const AssembledMesh& assembled,
   return solve_assembled(assembled.mesh, assembled.laplacian,
                          &assembled.ic_symbolic, &assembled.mg_symbolic, vrs,
                          sink_currents, options);
-}
-
-std::vector<IrDropResult> solve_irdrop_batch(
-    const AssembledMesh& assembled, const std::vector<VrAttachment>& vrs,
-    const std::vector<Vector>& sink_maps, const IrDropOptions& options) {
-  VPD_REQUIRE(!vrs.empty(), "need at least one VR attachment");
-  VPD_REQUIRE(!sink_maps.empty(), "need at least one sink map");
-  VPD_REQUIRE(options.relative_tolerance > 0.0,
-              "relative tolerance must be positive, got ",
-              options.relative_tolerance);
-  const GridMesh& mesh = assembled.mesh;
-
-  const obs::StageTimer stage_timer(obs::Stage::kSolve);
-  obs::Span span("irdrop.solve_batch", options.trace);
-
-  // One stamped operator for the whole batch; per-map right-hand sides.
-  thread_local CsrMatrix a;
-  thread_local std::vector<Vector> rhs_set;
-  a = assembled.laplacian;
-  rhs_set.resize(sink_maps.size());
-  for (std::size_t j = 0; j < sink_maps.size(); ++j) {
-    build_sink_rhs(mesh, sink_maps[j], rhs_set[j]);
-    stamp_vr_shunts(mesh, vrs, j == 0 ? &a : nullptr, rhs_set[j]);
-  }
-
-  // Severed nodes depend on the operator and attachments only, so the
-  // reachability sweep runs once and its mask applies to every map.
-  thread_local std::vector<char> grounded_mask;
-  std::size_t floating = 0;
-  if (mesh.perturbed()) {
-    floating = ground_floating_nodes(a, rhs_set[0], vrs, grounded_mask);
-    if (floating > 0) {
-      for (std::size_t j = 1; j < rhs_set.size(); ++j)
-        for (std::size_t i = 0; i < grounded_mask.size(); ++i)
-          if (grounded_mask[i]) rhs_set[j][i] = 0.0;
-    }
-  }
-
-  const CgOptions opts =
-      make_cg_options(mesh, &assembled.ic_symbolic, &assembled.mg_symbolic,
-                      options, span.context());
-  thread_local CgWorkspace tls_workspace;
-  CgWorkspace& workspace =
-      options.workspace != nullptr ? *options.workspace : tls_workspace;
-  std::vector<CgResult> solved =
-      options.batch_block ? solve_cg_block(a, rhs_set, opts, workspace)
-                          : solve_cg_batch(a, rhs_set, opts, workspace);
-
-  std::vector<IrDropResult> results;
-  results.reserve(solved.size());
-  std::size_t total_iterations = 0;
-  for (CgResult& cg : solved) {
-    VPD_CHECK_NUMERIC(cg.converged, "IR-drop CG did not converge: residual ",
-                      cg.residual_norm, " after ", cg.iterations,
-                      " iterations");
-    total_iterations += cg.iterations;
-    results.push_back(
-        extract_result(mesh, vrs, std::move(cg), floating, grounded_mask));
-  }
-
-  if (span.active()) {
-    span.set_arg("nodes", double(mesh.node_count()));
-    span.set_arg("vrs", double(vrs.size()));
-    span.set_arg("maps", double(sink_maps.size()));
-    span.set_arg("iterations", double(total_iterations));
-  }
-  return results;
 }
 
 Vector uniform_sinks(const GridMesh& mesh, Current total) {

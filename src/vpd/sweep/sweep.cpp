@@ -37,8 +37,6 @@ obs::Snapshot SweepReport::snapshot() const {
   s.set_counter("solver.precond_factorizations",
                 solver.precond_factorizations);
   s.set_counter("solver.precond_reuses", solver.precond_reuses);
-  s.set_counter("solver.cg_block_panels", solver.cg_block_panels);
-  s.set_counter("solver.cg_block_columns", solver.cg_block_columns);
   s.set_counter("sweep.batch_groups", batch.groups);
   s.set_counter("sweep.batch_grouped_points", batch.grouped_points);
   s.set_counter("sweep.batch_scalar_points", batch.scalar_points);
@@ -97,9 +95,7 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
       p.options.mesh_cache = cache;
       batch_points.push_back(std::move(p));
     }
-    BatchConfig batch_config;
-    batch_config.block = config_.batch_block;
-    EvaluationBatch batch(spec_, std::move(batch_points), batch_config);
+    EvaluationBatch batch(spec_, std::move(batch_points));
     if (threads == 1 || points.size() <= 1) {
       // Serial reference path: same phases, calling thread.
       batch.run();

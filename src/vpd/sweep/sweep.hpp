@@ -3,8 +3,8 @@
 // worker pool, sharing one MeshSolveCache so each distinct mesh geometry
 // is assembled exactly once per sweep. Points ride the batch evaluation
 // engine (core/batch.hpp) by default: same-operator points — sink-map
-// variants, fault load scalings — solve their distinct right-hand sides
-// together as block-CG panels instead of one scalar solve each.
+// variants, fault load scalings — share one solve per distinct sink
+// vector instead of one solve each.
 //
 // Determinism contract: results come back in input order, and a parallel
 // run is bit-identical to a serial run of the same points. This holds
@@ -14,9 +14,8 @@
 // cached mesh operators are immutable and numerically identical to a
 // per-call assembly, and batch grouping happens single-threaded in input
 // order, independent of probe completion order. Only SweepStats timing
-// fields vary run to run. With batch_block=false (or batch=false) results
-// are additionally bit-identical to the pre-batch scalar loop; block
-// panels answer to the same certified backward-error tolerance instead.
+// fields vary run to run. Batched results are additionally bit-identical
+// to the batch=false point-at-a-time loop.
 #pragma once
 
 #include <cstddef>
@@ -69,14 +68,10 @@ struct SweepConfig {
   /// use_mesh_cache is false. Must outlive the runner's run() calls.
   MeshSolveCache* cache{nullptr};
   /// Route the points through the batch evaluation engine (core/batch.hpp):
-  /// same-operator points solve their distinct sink vectors together
-  /// instead of one scalar solve each. false reproduces the pre-batch
-  /// point-at-a-time loop exactly.
+  /// same-operator points share one solve per distinct sink vector
+  /// instead of one solve each. false runs the point-at-a-time loop,
+  /// with bit-identical results.
   bool batch{true};
-  /// Solve batched groups as block-CG panels (certified backward error,
-  /// counted in solver.cg_block_panels). false runs each group as a
-  /// sequential loop over its columns — bit-identical to batch=false.
-  bool batch_block{true};
 };
 
 struct SweepReport {

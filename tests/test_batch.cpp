@@ -1,14 +1,13 @@
 // Batch-first evaluation engine (core/batch.hpp): same-operator grouping
-// and sink-vector deduplication, the loop-mode bit-identity contract
-// (block=false reproduces the scalar path bit for bit), the block
-// panels' certified backward error against the scalar reference,
-// per-point error transport, and the batch accounting surfaced by the
-// sweep / fault-campaign / optimizer reports and the serving layer's
-// evaluate_batch. Runs in its own ctest executable labelled `batch` so
-// the panel paths join the sanitizer matrix (ctest -L batch).
+// and sink-vector deduplication, the bit-identity contract (every batched
+// entry equals a lone evaluate_with_exclusion of the same point, on the
+// engine itself and through the sweep, fault-campaign, optimizer,
+// explorer and evaluate_batch paths), per-point error transport, and the
+// batch accounting those reports surface. Runs in its own ctest
+// executable labelled `batch` so the grouped paths join the sanitizer
+// matrix (ctest -L batch).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -30,7 +29,7 @@ namespace {
 
 /// The paper-mode options every sweep/explorer test pins (A2's published
 /// 48 below-die VRs need the relaxed area budget), at a mesh coarse
-/// enough to keep panels cheap.
+/// enough to keep the solves cheap.
 EvaluationOptions paper_options(std::size_t mesh_nodes = 31) {
   EvaluationOptions o;
   o.below_die_area_fraction = 1.6;
@@ -41,7 +40,7 @@ EvaluationOptions paper_options(std::size_t mesh_nodes = 31) {
 /// A3@12V/DSCH evaluation point; a stage-2 dropout scales the
 /// intermediate-rail current — the stage-1 deployment is sized at design
 /// time — so faulted variants share the nominal point's stamped operator
-/// and differ only in the sink vector. The canonical panel case.
+/// and differ only in the sink vector. The canonical group case.
 EvaluationPoint a3_point(std::vector<std::size_t> dropped_stage2 = {}) {
   EvaluationPoint p;
   p.architecture = ArchitectureKind::kA3_TwoStage12V;
@@ -82,27 +81,8 @@ void expect_identical(const ExplorationEntry& a, const ExplorationEntry& b,
   if (a.extrapolated) check(*a.extrapolated, *b.extrapolated);
 }
 
-/// Certified-backward-error comparison for block panels: both solves
-/// answer to irdrop_relative_tolerance (1e-12 by default), so derived
-/// quantities agree far tighter than this.
-void expect_certified(const ExplorationEntry& a, const ExplorationEntry& b,
-                      const std::string& label) {
-  ASSERT_EQ(a.excluded(), b.excluded()) << label;
-  ASSERT_EQ(a.evaluation.has_value(), b.evaluation.has_value()) << label;
-  const auto near = [&](double x, double y) {
-    EXPECT_NEAR(x, y, 1e-8 * std::abs(y) + 1e-12) << label;
-  };
-  if (a.evaluation) {
-    near(a.evaluation->total_loss().value, b.evaluation->total_loss().value);
-    ASSERT_TRUE(a.evaluation->min_distribution_voltage.has_value()) << label;
-    ASSERT_TRUE(b.evaluation->min_distribution_voltage.has_value()) << label;
-    near(a.evaluation->min_distribution_voltage->value,
-         b.evaluation->min_distribution_voltage->value);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// EvaluationBatch: grouping, dedup, loop-mode bit-identity, certification
+// EvaluationBatch: grouping, dedup, bit-identity, errors
 // ---------------------------------------------------------------------------
 
 TEST(EvaluationBatch, GroupsSameOperatorPointsAndDedupsIdenticalSinks) {
@@ -126,7 +106,7 @@ TEST(EvaluationBatch, GroupsSameOperatorPointsAndDedupsIdenticalSinks) {
 
   BatchStats stats;
   const std::vector<ExplorationEntry> entries = evaluate_batch_with_exclusion(
-      paper_system(), points, BatchConfig{}, &stats);
+      paper_system(), points, &stats);
 
   ASSERT_EQ(entries.size(), 5u);
   EXPECT_EQ(stats.points, 5u);
@@ -148,11 +128,9 @@ TEST(EvaluationBatch, LoopModeIsBitIdenticalToScalarEvaluation) {
   // those sinks are value-identical and deduplicate.)
   const std::vector<EvaluationPoint> points = {a3_point(), a3_point({0}),
                                                a3_point({0, 1})};
-  BatchConfig config;
-  config.block = false;
   BatchStats stats;
   const std::vector<ExplorationEntry> entries =
-      evaluate_batch_with_exclusion(paper_system(), points, config, &stats);
+      evaluate_batch_with_exclusion(paper_system(), points, &stats);
   EXPECT_EQ(stats.groups, 1u);
   EXPECT_EQ(stats.panel_columns, 3u);
   ASSERT_EQ(entries.size(), points.size());
@@ -163,30 +141,28 @@ TEST(EvaluationBatch, LoopModeIsBitIdenticalToScalarEvaluation) {
 }
 
 TEST(EvaluationBatch, BlockPanelsCertifyEachColumn) {
-  const std::vector<EvaluationPoint> points = {a3_point(), a3_point({0}),
-                                               a3_point({0, 1})};
+  // The same three distinct right-hand sides under multigrid, the
+  // preconditioner whose V-cycle a multi-RHS solver would share most.
+  std::vector<EvaluationPoint> points = {a3_point(), a3_point({0}),
+                                         a3_point({0, 1})};
+  for (EvaluationPoint& p : points) {
+    p.options.irdrop_preconditioner = CgPreconditioner::kMultigrid;
+  }
   const SolverCounters before = solver_counters();
   BatchStats stats;
-  const std::vector<ExplorationEntry> entries = evaluate_batch_with_exclusion(
-      paper_system(), points, BatchConfig{}, &stats);
+  const std::vector<ExplorationEntry> entries =
+      evaluate_batch_with_exclusion(paper_system(), points, &stats);
   const SolverCounters delta = solver_counters() - before;
 
-  // The group's three distinct right-hand sides launched as one panel.
-  // Near-parallel columns (uniform sink maps under scaling) may detect
-  // rank deficiency and finish through scalar CG — those count in
-  // cg_solves, not cg_block_columns — so the column split is bounded by
-  // the panel width, not pinned to it.
+  // The group solves each distinct sink vector once, no more.
   EXPECT_EQ(stats.panel_columns, 3u);
-  EXPECT_GE(delta.cg_block_panels, 1u);
-  EXPECT_LE(delta.cg_block_columns, stats.panel_columns);
-  EXPECT_GE(delta.cg_solves, stats.panel_columns);
+  EXPECT_EQ(delta.cg_solves, stats.panel_columns);
 
-  // Every column answers to the same backward-error tolerance as the
-  // scalar reference solve.
+  // Every column equals the scalar reference solve bit for bit.
   ASSERT_EQ(entries.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    expect_certified(entries[i], scalar_reference(points[i]),
-                     "block-mode point " + std::to_string(i));
+    expect_identical(entries[i], scalar_reference(points[i]),
+                     "grouped point " + std::to_string(i));
   }
 }
 
@@ -197,7 +173,7 @@ TEST(EvaluationBatch, ErrorsSurfacePerPointFirstInInputOrder) {
   // Per-point API: the bad point's slot carries the error, the good
   // points still group and evaluate.
   std::vector<EvaluationPoint> points = {a3_point(), bad, a3_point({0})};
-  EvaluationBatch batch(paper_system(), points, BatchConfig{});
+  EvaluationBatch batch(paper_system(), points);
   batch.run();
   EXPECT_EQ(batch.error(0), nullptr);
   EXPECT_NE(batch.error(1), nullptr);
@@ -207,21 +183,28 @@ TEST(EvaluationBatch, ErrorsSurfacePerPointFirstInInputOrder) {
   EXPECT_THROW(batch.rethrow_first_error(), InvalidArgument);
 
   // One-call API: the first error in input order is rethrown.
-  EXPECT_THROW(
-      evaluate_batch_with_exclusion(paper_system(), points, BatchConfig{}),
-      InvalidArgument);
+  EXPECT_THROW(evaluate_batch_with_exclusion(paper_system(), points),
+               InvalidArgument);
 }
 
-TEST(EvaluationBatch, RejectsDegenerateGroupSize) {
-  BatchConfig config;
-  config.min_group_size = 1;
-  EXPECT_THROW(
-      evaluate_batch_with_exclusion(paper_system(), {a3_point()}, config),
-      InvalidArgument);
+TEST(EvaluationBatch, ExplorerEntriesMatchLoneEvaluations) {
+  // ArchitectureExplorer::explore rides the batch engine; each entry must
+  // equal a lone evaluation of its grid point.
+  const ExplorationResult explored =
+      ArchitectureExplorer(paper_system(), paper_options()).explore();
+  ASSERT_FALSE(explored.entries.empty());
+  for (const ExplorationEntry& entry : explored.entries) {
+    EvaluationPoint p;
+    p.architecture = entry.architecture;
+    p.topology = entry.topology;
+    p.options = paper_options();
+    expect_identical(entry, scalar_reference(p),
+                     sweep_point_label(p.architecture, p.topology, p.tech));
+  }
 }
 
 // ---------------------------------------------------------------------------
-// SweepRunner: batch accounting, loop-vs-block, counter deltas
+// SweepRunner: batch accounting, bit-identity, counter deltas
 // ---------------------------------------------------------------------------
 
 /// The default grid plus stage-2-dropout variants of the two-stage
@@ -246,7 +229,6 @@ TEST(SweepBatch, LoopModeIsBitIdenticalToTheScalarLoop) {
   const std::vector<SweepPoint> points = grid_with_fault_variants();
   SweepConfig loop;
   loop.threads = 2;
-  loop.batch_block = false;
   SweepConfig scalar;
   scalar.threads = 2;
   scalar.batch = false;
@@ -258,10 +240,10 @@ TEST(SweepBatch, LoopModeIsBitIdenticalToTheScalarLoop) {
     expect_identical(with.outcomes[i].entry, without.outcomes[i].entry,
                      points[i].label);
   }
-  // Loop mode still groups (the accounting is identical to block mode);
-  // the scalar loop never touches the batch engine.
+  // The batched sweep groups distinct sink vectors; the scalar loop
+  // never touches the batch engine.
   EXPECT_GT(with.batch.grouped_points, 0u);
-  EXPECT_EQ(with.solver.cg_block_panels, 0u);
+  EXPECT_GT(with.batch.panel_columns, 0u);
   EXPECT_EQ(without.batch.points, 0u);
 }
 
@@ -275,22 +257,27 @@ TEST(SweepBatch, BlockSweepReportsPanelsInReportAndSnapshot) {
   EXPECT_GT(report.batch.groups, 0u);
   EXPECT_GT(report.batch.grouped_points, 0u);
   EXPECT_GT(report.batch.panel_columns, 0u);
-  // The panels actually reached the block solver; columns that deflate to
-  // scalar CG on rank deficiency still count as right-hand sides solved.
-  EXPECT_GT(report.solver.cg_block_panels, 0u);
-  EXPECT_LE(report.solver.cg_block_columns, report.batch.panel_columns);
+  // Every distinct sink vector is one solve.
   EXPECT_GE(report.solver.cg_solves, report.batch.panel_columns);
 
   const obs::Snapshot snap = report.snapshot();
   const std::uint64_t* grouped = snap.counter("sweep.batch_grouped_points");
   const std::uint64_t* columns = snap.counter("sweep.batch_panel_columns");
-  const std::uint64_t* panels = snap.counter("solver.cg_block_panels");
+  const std::uint64_t* solves = snap.counter("solver.cg_solves");
   ASSERT_NE(grouped, nullptr);
   ASSERT_NE(columns, nullptr);
-  ASSERT_NE(panels, nullptr);
+  ASSERT_NE(solves, nullptr);
   EXPECT_EQ(*grouped, report.batch.grouped_points);
   EXPECT_EQ(*columns, report.batch.panel_columns);
-  EXPECT_GT(*panels, 0u);
+  EXPECT_EQ(*solves, report.solver.cg_solves);
+
+  // Each grouped outcome equals a lone evaluation of its point.
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const EvaluationPoint p{points[i].architecture, points[i].topology,
+                            points[i].tech, points[i].options};
+    expect_identical(report.outcomes[i].entry, scalar_reference(p),
+                     points[i].label);
+  }
 }
 
 TEST(SweepBatch, BatchedParallelIsBitIdenticalToBatchedSerial) {
@@ -314,7 +301,7 @@ TEST(SweepBatch, BatchedParallelIsBitIdenticalToBatchedSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultCampaignRunner: batch accounting and the N-0 bit-exactness rule
+// FaultCampaignRunner: batch accounting and bit-exactness
 // ---------------------------------------------------------------------------
 
 TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
@@ -323,7 +310,7 @@ TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
   // the whole campaign rides one panel family. All N-1 dropouts leave the
   // same survivor count — value-identical sinks that deduplicate onto one
   // shared solve — so the order-2 samples are what add a second distinct
-  // column and force an actual panel.
+  // sink vector to the group.
   config.include_dropouts = false;
   config.include_derates = false;
   config.include_attach_faults = false;
@@ -340,10 +327,27 @@ TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
   EXPECT_GT(report.batch.grouped_points, 0u);
   EXPECT_GT(report.batch.deduped_solves, 0u);
   EXPECT_GT(report.batch.panel_columns, 0u);
-  EXPECT_GT(report.solver.cg_block_panels, 0u);
 
-  // The N-0 outcome reuses the nominal evaluation outright: bit-exact in
-  // every batch mode, never routed through a shared panel.
+  // Every scenario equals its outcome from the scalar loop (batch off).
+  FaultCampaignConfig scalar_config = config;
+  scalar_config.sweep.batch = false;
+  const FaultCampaignReport scalar =
+      FaultCampaignRunner(paper_system(), scalar_config)
+          .run(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch,
+               DeviceTechnology::kGalliumNitride, paper_options(21));
+  ASSERT_EQ(scalar.outcomes.size(), report.outcomes.size());
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const FaultScenarioOutcome& a = report.outcomes[i];
+    const FaultScenarioOutcome& b = scalar.outcomes[i];
+    ASSERT_EQ(a.evaluation.has_value(), b.evaluation.has_value()) << i;
+    if (a.evaluation) {
+      EXPECT_EQ(io::dump(io::to_json(*a.evaluation)),
+                io::dump(io::to_json(*b.evaluation)))
+          << "scenario " << i;
+    }
+  }
+
+  // The N-0 outcome reuses the nominal evaluation outright.
   const FaultScenarioOutcome& baseline = report.outcomes.front();
   ASSERT_TRUE(baseline.evaluation.has_value());
   EXPECT_EQ(baseline.evaluation->total_loss().value,
@@ -378,6 +382,17 @@ TEST(OptimizerBatch, ReportAccumulatesBatchStatsAcrossGenerations) {
       opt::DesignOptimizer(paper_system(), space, config).run();
   // Every generation's sweep flows through the batch engine.
   EXPECT_GT(report.batch.points, 0u);
+  // The front matches a run whose sweeps evaluate point at a time.
+  opt::OptimizerConfig scalar_config = config;
+  scalar_config.sweep.batch = false;
+  const opt::OptimizeReport scalar =
+      opt::DesignOptimizer(paper_system(), space, scalar_config).run();
+  ASSERT_EQ(scalar.front.size(), report.front.size());
+  for (std::size_t i = 0; i < report.front.size(); ++i) {
+    EXPECT_EQ(io::dump(io::to_json(report.front[i])),
+              io::dump(io::to_json(scalar.front[i])))
+        << "front entry " << i;
+  }
   const obs::Snapshot snap = report.snapshot();
   const std::uint64_t* groups = snap.counter("opt.batch_groups");
   ASSERT_NE(groups, nullptr);
@@ -422,7 +437,7 @@ TEST(ServeBatch, DedupsCachesPartitionsAndSurfacesErrors) {
   const std::vector<io::EvaluationRequest> requests = {
       warm,        // 0: LRU hit
       a3,          // 1: leader, groups with 2
-      a3_faulted,  // 2: same operator -> block panel with 1
+      a3_faulted,  // 2: same operator -> group with 1, distinct sinks
       a3,          // 3: in-batch duplicate of 1
       bad,         // 4: per-member error
       other_spec,  // 5: second spec partition, evaluated alone
@@ -462,12 +477,18 @@ TEST(ServeBatch, DedupsCachesPartitionsAndSurfacesErrors) {
   EXPECT_EQ(counter("serve.batch.panel_columns"), 2u);
 }
 
-TEST(ServeBatch, ResponsesMatchLoneEvaluatesWhereNoPanelEngages) {
+TEST(ServeBatch, ResponsesMatchLoneEvaluates) {
   serve::ServiceConfig config;
   config.threads = 2;
   serve::EvaluationService service(config);
-  // Distinct operators only: every point solves scalar, so each response
-  // is bit-identical to a lone evaluate() of the same request.
+  // A derating at which the pair's two sink vectors are far from
+  // parallel, so a solver that iterated them jointly would not reproduce
+  // the lone solves bit for bit.
+  io::EvaluationRequest a3 =
+      make_request(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch);
+  a3.options.derating = 0.6;
+  io::EvaluationRequest a3_faulted = a3;
+  a3_faulted.options.faults.dropped_stage2 = {0};
   const std::vector<io::EvaluationRequest> requests = {
       make_request(ArchitectureKind::kA1_InterposerPeriphery,
                    TopologyKind::kDsch),
@@ -477,19 +498,35 @@ TEST(ServeBatch, ResponsesMatchLoneEvaluatesWhereNoPanelEngages) {
       // Excluded by the paper's rule, not an error.
       make_request(ArchitectureKind::kA1_InterposerPeriphery,
                    TopologyKind::kDickson),
+      // Same operator, distinct sink vectors: one group, two solves.
+      a3,
+      a3_faulted,
   };
   const std::vector<serve::ServiceResponse> responses =
       service.evaluate_batch(requests);
   ASSERT_EQ(responses.size(), requests.size());
   EXPECT_EQ(responses[3].status, serve::ResponseStatus::kExcluded);
+  const obs::Snapshot snap = service.registry().snapshot();
+  const std::uint64_t* groups = snap.counter("serve.batch.groups");
+  ASSERT_NE(groups, nullptr);
+  EXPECT_EQ(*groups, 1u);
+
+  // The reference is a fresh service's lone evaluate(): the batch body and
+  // a later evaluate() served from the batch-filled LRU must both match
+  // it bit for bit.
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ExplorationEntry reference = evaluate_with_exclusion(
-        requests[i].spec, requests[i].architecture, requests[i].topology,
-        requests[i].tech, requests[i].options);
+    serve::EvaluationService fresh(config);
+    const serve::ServiceResponse lone = fresh.evaluate(requests[i]);
+    ASSERT_NE(lone.entry, nullptr) << "request " << i;
+    const std::string reference = io::dump(io::to_json(*lone.entry));
     ASSERT_NE(responses[i].entry, nullptr) << "request " << i;
-    EXPECT_EQ(io::dump(io::to_json(*responses[i].entry)),
-              io::dump(io::to_json(reference)))
-        << "request " << i;
+    EXPECT_EQ(io::dump(io::to_json(*responses[i].entry)), reference)
+        << "batch body " << i;
+    const serve::ServiceResponse cached = service.evaluate(requests[i]);
+    EXPECT_TRUE(cached.from_cache) << "request " << i;
+    ASSERT_NE(cached.entry, nullptr) << "request " << i;
+    EXPECT_EQ(io::dump(io::to_json(*cached.entry)), reference)
+        << "LRU-served evaluate " << i;
   }
 }
 

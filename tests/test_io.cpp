@@ -473,6 +473,29 @@ TEST(Schema, WrongTypesAndInvalidValuesAreInvalidArgument) {
   }
 }
 
+TEST(Schema, MeshNodesAboveTheLimitAreRejectedByName) {
+  const auto request = [](std::size_t nodes) {
+    return io::parse(
+        R"({"architecture":"A1","topology":"DSCH","options":{"mesh_nodes":)" +
+        std::to_string(nodes) + "}}");
+  };
+  EXPECT_EQ(io::evaluation_request_from_json(request(io::kMaxMeshNodes))
+                .options.mesh_nodes,
+            io::kMaxMeshNodes);
+  for (std::size_t nodes : {io::kMaxMeshNodes + 1, std::size_t{3000000}}) {
+    try {
+      (void)io::evaluation_request_from_json(request(nodes));
+      ADD_FAILURE() << "mesh_nodes " << nodes << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("mesh_nodes"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(io::kMaxMeshNodes)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(Schema, UnknownFieldsAreIgnoredNotErrors) {
   // v2 compatibility rule: a peer may send fields this build does not
   // know; they must parse as if absent, at every nesting level.

@@ -1,12 +1,12 @@
 #!/bin/sh
-# End-to-end vpdd smoke test: pipe 20 NDJSON lines (10 pipelined
+# End-to-end vpdd smoke test: pipe 21 NDJSON lines (10 pipelined
 # evaluation requests, one of them malformed, two droop-campaign
 # requests and two optimize requests — one valid, one rejected each —
-# an evaluate_batch request whose two same-operator members must solve
-# as one block panel,
-# plus metrics / trace / unknown control verbs, a malformed line whose
-# "id" must still be echoed, and
-# a final graceful-shutdown verb) through the daemon with tracing
+# an evaluate_batch request whose two same-operator members must form
+# one group with two distinct sink vectors, a request whose mesh_nodes
+# exceeds the wire limit, plus metrics / trace / unknown control verbs,
+# a malformed line whose "id" must still be echoed, and a final
+# graceful-shutdown verb) through the daemon with tracing
 # enabled, and check that every line gets an in-order, id-tagged
 # response with the expected status, that the trace file is a Chrome
 # trace-event document, and that the shutdown verb drains and exits 0.
@@ -43,6 +43,7 @@ this line is not JSON {{{
 {"id":12,"cmd":"trace"}
 {"id":13,"cmd":"frobnicate"}
 {"id":21,"architecture":
+{"id":22,"architecture":"A1","topology":"DSCH","options":{"mesh_nodes":3000000}}
 {"id":99,"cmd":"shutdown"}
 EOF
 
@@ -58,8 +59,8 @@ fail() {
 }
 
 # One response line per request, in request order.
-[ "$(wc -l < "$responses")" -eq 20 ] || fail "expected 20 response lines"
-expected_ids='1 2 3 4 5 6 null 8 9 10 14 15 16 17 18 11 12 13 21 99'
+[ "$(wc -l < "$responses")" -eq 21 ] || fail "expected 21 response lines"
+expected_ids='1 2 3 4 5 6 null 8 9 10 14 15 16 17 18 11 12 13 21 22 99'
 actual_ids="$(grep -o '^{"id":[^,]*' "$responses" | sed 's/^{"id"://' | tr '\n' ' ' | sed 's/ $//')"
 [ "$actual_ids" = "$expected_ids" ] || fail "response ids/order wrong: $actual_ids"
 
@@ -89,12 +90,20 @@ check_status 11 ok
 check_status 12 ok
 check_status 13 error
 check_status 21 error
+check_status 22 error
 check_status 99 ok
 
 # A malformed line still echoes its request id when the raw bytes carry
 # one, so pipelining clients never receive an orphaned error.
 grep '^{"id":21,' "$responses" | grep -q '"status":"error"' \
   || fail "the truncated id=21 line must get an id-tagged error"
+
+# A mesh_nodes above the wire limit is rejected at parse time, by name,
+# before any allocation.
+grep '^{"id":22,' "$responses" | grep -q '"status":"error"' \
+  || fail "mesh_nodes above the limit must get an id-tagged error"
+grep '^{"id":22,' "$responses" | grep -q 'mesh_nodes' \
+  || fail "the mesh_nodes rejection must name the field"
 
 # The shutdown verb drains in-flight work and replies with the final
 # metrics snapshot before the daemon exits 0.
@@ -142,7 +151,8 @@ grep '^{"id":17,' "$responses" | grep -q '"status":"error"' \
 # The "evaluate_batch" verb resolves its members together: the response
 # carries one result per request in request order, and the two
 # same-operator A3 members (nominal vs stage2-dropout — same mesh, sink
-# scaling only) must have been solved as one two-column block panel.
+# scaling only) must have formed one group with two distinct sink
+# vectors, each solved once.
 grep '^{"id":18,' "$responses" | grep -q '"results":\[' \
   || fail "evaluate_batch responses must carry the results array"
 grep '^{"id":18,' "$responses" | grep -q '"timings":' \
@@ -161,7 +171,7 @@ grep '^{"id":11,' "$responses" | grep -q '"serve.optimize.requests":1' \
 grep '^{"id":11,' "$responses" | grep -q '"serve.batch.requests":2' \
   || fail "metrics must count both evaluate_batch members"
 grep '^{"id":11,' "$responses" | grep -q '"serve.batch.panel_columns":2' \
-  || fail "the two same-operator batch members must form a block panel"
+  || fail "the two same-operator batch members must form one group"
 
 # The "trace" verb flushed the buffer to the --trace file, which must be
 # a Chrome trace-event document with at least one recorded span.
@@ -182,4 +192,4 @@ grep -q '"serve.evaluated": 7' "$workdir/metrics.json" \
 grep -q '"counters": {' "$workdir/metrics.json" \
   || fail "metrics dump should carry the unified telemetry shape"
 
-echo "vpdd_smoke: OK (20 pipelined lines: 10 requests, 1 batch, 2 malformed, 2 transient, 2 optimize, 3 control verbs, 1 shutdown)"
+echo "vpdd_smoke: OK (21 pipelined lines: 10 requests, 1 batch, 2 malformed, 1 over-limit, 2 transient, 2 optimize, 3 control verbs, 1 shutdown)"
