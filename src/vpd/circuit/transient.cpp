@@ -1,8 +1,8 @@
 #include "vpd/circuit/transient.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <memory>
 
 #include "vpd/circuit/dc_solver.hpp"
@@ -40,23 +40,24 @@ std::size_t TransientFactorCache::size() const {
 
 TransientResult::TransientResult(const Netlist& netlist,
                                  std::vector<double> times,
-                                 std::vector<Vector> node_voltages,
-                                 std::vector<Vector> element_currents)
+                                 std::vector<double> node_voltages,
+                                 std::vector<double> element_currents)
     : netlist_(&netlist),
       times_(std::move(times)),
       node_voltages_(std::move(node_voltages)),
       element_currents_(std::move(element_currents)) {
-  VPD_REQUIRE(times_.size() == node_voltages_.size() &&
-                  times_.size() == element_currents_.size(),
+  VPD_REQUIRE(node_voltages_.size() == times_.size() * netlist.node_count() &&
+                  element_currents_.size() ==
+                      times_.size() * netlist.element_count(),
               "inconsistent sample counts");
 }
 
 Trace TransientResult::voltage(NodeId node) const {
-  VPD_REQUIRE(node < netlist_->node_count(), "node id ", node,
-              " out of range");
+  const std::size_t n_nodes = netlist_->node_count();
+  VPD_REQUIRE(node < n_nodes, "node id ", node, " out of range");
   std::vector<double> values(times_.size());
   for (std::size_t i = 0; i < times_.size(); ++i)
-    values[i] = node_voltages_[i][node];
+    values[i] = node_voltages_[i * n_nodes + node];
   return Trace("v(" + netlist_->node_name(node) + ")", times_, std::move(values));
 }
 
@@ -65,11 +66,11 @@ Trace TransientResult::voltage(const std::string& node_name) const {
 }
 
 Trace TransientResult::current(ElementId element) const {
-  VPD_REQUIRE(element < netlist_->element_count(), "element id ", element,
-              " out of range");
+  const std::size_t n_elements = netlist_->element_count();
+  VPD_REQUIRE(element < n_elements, "element id ", element, " out of range");
   std::vector<double> values(times_.size());
   for (std::size_t i = 0; i < times_.size(); ++i)
-    values[i] = element_currents_[i][element];
+    values[i] = element_currents_[i * n_elements + element];
   return Trace("i(" + netlist_->element(element).name + ")", times_,
                std::move(values));
 }
@@ -80,11 +81,13 @@ Trace TransientResult::current(const std::string& element_name) const {
 
 Trace TransientResult::power(ElementId element) const {
   const Element& e = netlist_->element(element);
+  const std::size_t n_nodes = netlist_->node_count();
+  const std::size_t n_elements = netlist_->element_count();
   std::vector<double> values(times_.size());
   for (std::size_t i = 0; i < times_.size(); ++i) {
-    const double v_ab =
-        node_voltages_[i][e.node_a] - node_voltages_[i][e.node_b];
-    values[i] = v_ab * element_currents_[i][element];
+    const double* v = &node_voltages_[i * n_nodes];
+    values[i] = (v[e.node_a] - v[e.node_b]) *
+                element_currents_[i * n_elements + element];
   }
   return Trace("p(" + e.name + ")", times_, std::move(values));
 }
@@ -108,20 +111,17 @@ Power TransientResult::average_power(const std::string& element_name,
 
 namespace {
 
-struct ReactiveState {
-  // Indexed by ElementId; only meaningful for the matching element kind.
-  Vector cap_voltage;     // v_ab across each capacitor
-  Vector cap_current;     // i_ab through each capacitor
-  Vector ind_current;     // i_ab through each inductor
-  Vector ind_voltage;     // v_ab across each inductor
-};
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(value));
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
 
 /// Appends the bit pattern of a double to a cache key (exact match, no
 /// formatting round-trip).
 void append_bits(std::string& key, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
+  const std::uint64_t bits = bits_of(value);
   for (int shift = 0; shift < 64; shift += 8) {
     key.push_back(static_cast<char>((bits >> shift) & 0xff));
   }
@@ -157,6 +157,72 @@ std::string netlist_matrix_key(const Netlist& netlist, double gmin) {
   return key;
 }
 
+// Step-loop element records, built once per simulate() call in netlist
+// order. MNA rows are resolved up front (MnaLayout::kNoRow for ground) and
+// the companion-model history lives inline.
+
+struct ResistorRecord {
+  ElementId id;
+  NodeId a, b;
+  double r;
+};
+
+struct SwitchRecord {  // position in this list == position in SwitchStates
+  ElementId id;
+  NodeId a, b;
+  double r_on, r_off;
+};
+
+struct CapacitorRecord {
+  ElementId id;
+  NodeId a, b;
+  double c;
+  double v{0.0};   // v_ab history
+  double i{0.0};   // i_ab history
+  double g{0.0};   // companion conductance of the current step
+  double i_eq{0.0};  // companion current injected b -> a this step
+};
+
+struct InductorRecord {
+  ElementId id;
+  NodeId a, b;
+  std::size_t branch;
+  double l;
+  double i{0.0};  // i_ab history
+  double v{0.0};  // v_ab history
+};
+
+struct VSourceRecord {
+  ElementId id;
+  std::size_t branch;
+  const SourceFn* source;
+  double i{0.0};  // branch current of the latest sample
+};
+
+struct ISourceRecord {
+  ElementId id;
+  const SourceFn* source;
+  double i{0.0};  // source value of the latest sample
+};
+
+/// One RHS current injection `b[from] -= *amps; b[to] += *amps`, kept in
+/// netlist order across capacitors and I sources so node rows accumulate
+/// in the same sequence as a netlist walk.
+struct Injection {
+  std::size_t from, to;
+  const double* amps;
+};
+
+/// A matrix pattern seen by this simulation and its factors (owned here
+/// unless they live in the shared TransientFactorCache).
+struct FactorPattern {
+  IntegrationMethod method;
+  std::uint64_t h_bits;
+  SwitchStates switches;
+  const LuFactorization* factors;
+  std::unique_ptr<LuFactorization> owned;
+};
+
 }  // namespace
 
 TransientResult simulate(const Netlist& netlist,
@@ -167,49 +233,85 @@ TransientResult simulate(const Netlist& netlist,
   VPD_REQUIRE(dt > 0.0 && dt < t_stop, "dt must be in (0, t_stop), got ", dt);
 
   const MnaLayout layout(netlist);
+  const std::size_t n_nodes = netlist.node_count();
   const std::size_t n_elements = netlist.element_count();
-  const std::vector<ElementId> switch_ids = netlist.switches();
 
   SwitchStates states = initial_switch_states(netlist);
 
+  // --- Element records ------------------------------------------------------
+  std::vector<ResistorRecord> resistors;
+  std::vector<SwitchRecord> switches;
+  std::vector<CapacitorRecord> capacitors;
+  std::vector<InductorRecord> inductors;
+  std::vector<VSourceRecord> vsources;
+  std::vector<ISourceRecord> isources;
+  for (ElementId id = 0; id < n_elements; ++id) {
+    const Element& e = netlist.element(id);
+    switch (e.kind) {
+      case ElementKind::kResistor:
+        resistors.push_back({id, e.node_a, e.node_b, e.value});
+        break;
+      case ElementKind::kSwitch:
+        switches.push_back({id, e.node_a, e.node_b, e.r_on, e.r_off});
+        break;
+      case ElementKind::kCapacitor:
+        capacitors.push_back({id, e.node_a, e.node_b, e.value});
+        break;
+      case ElementKind::kInductor:
+        inductors.push_back(
+            {id, e.node_a, e.node_b, layout.branch_row(id), e.value});
+        break;
+      case ElementKind::kVoltageSource:
+        vsources.push_back({id, layout.branch_row(id), &e.source});
+        break;
+      case ElementKind::kCurrentSource:
+        isources.push_back({id, &e.source});
+        break;
+    }
+  }
+  // Built after the lists are final, so the value pointers stay valid.
+  std::vector<Injection> injections;
+  {
+    std::size_t ci = 0;
+    std::size_t si = 0;
+    for (ElementId id = 0; id < n_elements; ++id) {
+      const Element& e = netlist.element(id);
+      if (e.kind == ElementKind::kCapacitor) {
+        injections.push_back({layout.node_row(e.node_b),
+                              layout.node_row(e.node_a),
+                              &capacitors[ci++].i_eq});
+      } else if (e.kind == ElementKind::kCurrentSource) {
+        injections.push_back({layout.node_row(e.node_a),
+                              layout.node_row(e.node_b), &isources[si++].i});
+      }
+    }
+  }
+
   // --- Initial conditions ---------------------------------------------------
-  Vector v_nodes(netlist.node_count(), 0.0);
-  ReactiveState rs;
-  rs.cap_voltage.assign(n_elements, 0.0);
-  rs.cap_current.assign(n_elements, 0.0);
-  rs.ind_current.assign(n_elements, 0.0);
-  rs.ind_voltage.assign(n_elements, 0.0);
+  // `v` holds the node voltages of the latest sample (v[kGround] == 0).
+  Vector v(n_nodes, 0.0);
+  const double dc_gmin = std::max(options.gmin, 1e-12);
 
   if (options.initialize_from_dc) {
     DcOptions dc;
-    dc.gmin = std::max(options.gmin, 1e-12);
+    dc.gmin = dc_gmin;
     dc.switch_states = states;
     const DcSolution op = solve_dc(netlist, dc);
-    for (NodeId n = 0; n < netlist.node_count(); ++n)
-      v_nodes[n] = op.voltage(n).value;
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      if (e.kind == ElementKind::kCapacitor)
-        rs.cap_voltage[i] = v_nodes[e.node_a] - v_nodes[e.node_b];
-      if (e.kind == ElementKind::kInductor) {
-        rs.ind_current[i] = op.current(i).value;
-        rs.ind_voltage[i] = 0.0;
-      }
-    }
+    for (NodeId n = 0; n < n_nodes; ++n) v[n] = op.voltage(n).value;
+    for (CapacitorRecord& c : capacitors) c.v = v[c.a] - v[c.b];
+    for (InductorRecord& l : inductors) l.i = op.current(l.id).value;
+    for (VSourceRecord& s : vsources) s.i = op.current(s.id).value;
   } else {
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      if (e.kind == ElementKind::kCapacitor) rs.cap_voltage[i] = e.initial;
-      if (e.kind == ElementKind::kInductor) rs.ind_current[i] = e.initial;
-    }
+    for (CapacitorRecord& c : capacitors) c.v = netlist.element(c.id).initial;
+    for (InductorRecord& l : inductors) l.i = netlist.element(l.id).initial;
     // Consistent t = 0 node voltages: solve the network with capacitors
     // replaced by voltage sources at their initial voltage and inductors by
-    // current sources at their initial current.
+    // current sources at their initial current. The snapshot adds one
+    // element per element in netlist order, so element ids carry over.
     Netlist snapshot;
-    for (NodeId n = 1; n < netlist.node_count(); ++n)
+    for (NodeId n = 1; n < n_nodes; ++n)
       snapshot.add_node(netlist.node_name(n));
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
+    for (const Element& e : netlist.elements()) {
       switch (e.kind) {
         case ElementKind::kCapacitor:
           snapshot.add_vsource(e.name, e.node_a, e.node_b,
@@ -237,21 +339,17 @@ TransientResult simulate(const Netlist& netlist,
       }
     }
     DcOptions dc;
-    dc.gmin = std::max(options.gmin, 1e-12);
+    dc.gmin = dc_gmin;
     const DcSolution t0 = solve_dc(snapshot, dc);
-    for (NodeId n = 0; n < netlist.node_count(); ++n)
-      v_nodes[n] = t0.voltage(n).value;
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      // Inrush current through each capacitor (its substitute V source)
-      // and initial voltage across each inductor seed the trapezoidal
-      // history with consistent values.
-      if (e.kind == ElementKind::kCapacitor)
-        rs.cap_current[i] = t0.current(e.name).value;
-      if (e.kind == ElementKind::kInductor)
-        rs.ind_voltage[i] = v_nodes[e.node_a] - v_nodes[e.node_b];
-    }
+    for (NodeId n = 0; n < n_nodes; ++n) v[n] = t0.voltage(n).value;
+    // Inrush current through each capacitor (its substitute V source) and
+    // initial voltage across each inductor seed the trapezoidal history
+    // with consistent values.
+    for (CapacitorRecord& c : capacitors) c.i = t0.current(c.id).value;
+    for (InductorRecord& l : inductors) l.v = v[l.a] - v[l.b];
+    for (VSourceRecord& s : vsources) s.i = t0.current(s.id).value;
   }
+  for (ISourceRecord& s : isources) s.i = (*s.source)(0.0);
 
   // --- Step schedule ---------------------------------------------------------
   // Full steps of dt plus, when dt does not divide t_stop, one shortened
@@ -270,114 +368,48 @@ TransientResult simulate(const Netlist& netlist,
   const std::size_t n_steps = n_full + (remainder > 0.0 ? 1 : 0);
 
   // --- Recording -------------------------------------------------------------
+  // Flat row-major storage, reserved for every sample up front.
   std::vector<double> times;
-  std::vector<Vector> node_voltages;
-  std::vector<Vector> element_currents;
+  std::vector<double> node_voltages;
+  std::vector<double> element_currents;
   times.reserve(n_steps + 1);
-  node_voltages.reserve(n_steps + 1);
-  element_currents.reserve(n_steps + 1);
+  node_voltages.reserve((n_steps + 1) * n_nodes);
+  element_currents.reserve((n_steps + 1) * n_elements);
 
-  auto compute_currents = [&](double t, const Vector& v,
-                              const ReactiveState& state,
-                              const Vector& branch,
-                              const SwitchStates& sw) {
-    Vector currents(n_elements, 0.0);
-    std::size_t sw_pos = 0;
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      const double v_ab = v[e.node_a] - v[e.node_b];
-      switch (e.kind) {
-        case ElementKind::kResistor:
-          currents[i] = v_ab / e.value;
-          break;
-        case ElementKind::kSwitch:
-          currents[i] = v_ab / switch_resistance(e, sw[sw_pos]);
-          ++sw_pos;
-          break;
-        case ElementKind::kCapacitor:
-          currents[i] = state.cap_current[i];
-          break;
-        case ElementKind::kInductor:
-          currents[i] = state.ind_current[i];
-          break;
-        case ElementKind::kVoltageSource:
-          currents[i] = branch[layout.branch_row(i) -
-                               layout.node_unknowns()];
-          break;
-        case ElementKind::kCurrentSource:
-          currents[i] = e.source(t);
-          break;
-      }
-    }
-    return currents;
-  };
-
-  auto record = [&](double t, const Vector& v, Vector currents) {
+  // Appends the sample at time t from `v` and the element records; the
+  // t = 0 currents come from the initialization solve (source inrush
+  // currents included), so the energy bookkeeping starts consistent.
+  auto record = [&](double t) {
     times.push_back(t);
-    node_voltages.push_back(v);
-    element_currents.push_back(std::move(currents));
+    node_voltages.insert(node_voltages.end(), v.begin(), v.end());
+    const std::size_t row = element_currents.size();
+    element_currents.resize(row + n_elements);
+    double* i = element_currents.data() + row;
+    for (const ResistorRecord& r : resistors)
+      i[r.id] = (v[r.a] - v[r.b]) / r.r;
+    for (std::size_t k = 0; k < switches.size(); ++k) {
+      const SwitchRecord& s = switches[k];
+      i[s.id] = (v[s.a] - v[s.b]) / (states[k] ? s.r_on : s.r_off);
+    }
+    for (const CapacitorRecord& c : capacitors) i[c.id] = c.i;
+    for (const InductorRecord& l : inductors) i[l.id] = l.i;
+    for (const VSourceRecord& s : vsources) i[s.id] = s.i;
+    for (const ISourceRecord& s : isources) i[s.id] = s.i;
   };
+  record(0.0);
 
-  // The t = 0 sample: currents come from the initialization solve so the
-  // energy bookkeeping starts consistent (source inrush currents included).
-  {
-    Vector currents0(n_elements, 0.0);
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      switch (e.kind) {
-        case ElementKind::kCapacitor:
-          currents0[i] = rs.cap_current[i];
-          break;
-        case ElementKind::kInductor:
-          currents0[i] = rs.ind_current[i];
-          break;
-        case ElementKind::kCurrentSource:
-          currents0[i] = e.source(0.0);
-          break;
-        default: {
-          // Resistive elements and V-source branch currents follow from the
-          // initial node voltages by KCL; approximate the V-source current
-          // from the adjacent resistive elements is fragile, so recompute
-          // via initial_currents_ set below where available.
-          const double v_ab = v_nodes[e.node_a] - v_nodes[e.node_b];
-          if (e.kind == ElementKind::kResistor) currents0[i] = v_ab / e.value;
-          if (e.kind == ElementKind::kSwitch) {
-            std::size_t sw_pos = 0;
-            for (ElementId id : switch_ids) {
-              if (id == i) break;
-              ++sw_pos;
-            }
-            currents0[i] = v_ab / switch_resistance(e, states[sw_pos]);
-          }
-          break;
-        }
-      }
-    }
-    // V-source currents at t = 0 from KCL: the branch current equals the
-    // negated sum of all other element currents leaving the source's + node.
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      if (e.kind != ElementKind::kVoltageSource) continue;
-      double leaving = 0.0;
-      for (std::size_t j = 0; j < n_elements; ++j) {
-        if (j == i) continue;
-        const Element& other = netlist.element(j);
-        if (other.node_a == e.node_a) leaving += currents0[j];
-        if (other.node_b == e.node_a) leaving -= currents0[j];
-      }
-      currents0[i] = -leaving;
-    }
-    record(0.0, v_nodes, std::move(currents0));
-  }
-
-  // --- LU cache keyed by (step size, method, switch states) -----------------
+  // --- Factor lookup ---------------------------------------------------------
   // The MNA matrix depends only on (topology, h, method, switch states);
   // sources and history enter through the RHS. PWM simulations revisit a
-  // handful of patterns thousands of times. With a shared factor_cache the
-  // reuse extends across simulate() calls: the key is prefixed with the
-  // netlist's matrix-relevant content, so distinct netlists never alias.
-  std::map<std::string, const LuFactorization*> lu_cache;
-  std::vector<std::unique_ptr<LuFactorization>> owned_factors;
+  // handful of patterns thousands of times, so a step first compares its
+  // (method, bit pattern of h, switch states) with the previous step's,
+  // then scans the patterns this simulation has seen. Only a pattern's
+  // first sighting builds a factorization, or — with a shared
+  // factor_cache — the string key that cache is indexed by: the
+  // netlist's matrix-relevant content as a prefix, so distinct netlists
+  // never alias.
+  std::vector<FactorPattern> patterns;
+  std::size_t last_pattern = 0;
   const std::string base_key = options.factor_cache != nullptr
                                    ? netlist_matrix_key(netlist, options.gmin)
                                    : std::string();
@@ -424,32 +456,43 @@ TransientResult simulate(const Netlist& netlist,
     return stamper.matrix();
   };
 
-  auto factorization_for = [&](IntegrationMethod method, double h,
-                               const SwitchStates& sw)
-      -> const LuFactorization& {
-    std::string key;
-    key.reserve(base_key.size() + sw.size() + 10);
-    key = base_key;
-    key.push_back(method == IntegrationMethod::kBackwardEuler ? 'b' : 't');
-    append_bits(key, h);
-    for (bool s : sw) key.push_back(s ? '1' : '0');
-    auto it = lu_cache.find(key);
-    if (it != lu_cache.end()) return *it->second;
-    const LuFactorization* factors = nullptr;
-    if (options.factor_cache != nullptr) {
-      factors = &options.factor_cache->get(
-          key, [&] { return build_matrix(method, h, sw); });
-    } else {
-      owned_factors.push_back(
-          std::make_unique<LuFactorization>(build_matrix(method, h, sw)));
-      factors = owned_factors.back().get();
+  auto factorization_for = [&](IntegrationMethod method,
+                               double h) -> const LuFactorization& {
+    const std::uint64_t h_bits = bits_of(h);
+    const auto matches = [&](const FactorPattern& p) {
+      return p.method == method && p.h_bits == h_bits && p.switches == states;
+    };
+    if (last_pattern < patterns.size() && matches(patterns[last_pattern]))
+      return *patterns[last_pattern].factors;
+    for (std::size_t k = 0; k < patterns.size(); ++k) {
+      if (matches(patterns[k])) {
+        last_pattern = k;
+        return *patterns[k].factors;
+      }
     }
-    lu_cache.emplace(std::move(key), factors);
-    return *factors;
+    FactorPattern pattern{method, h_bits, states, nullptr, nullptr};
+    if (options.factor_cache != nullptr) {
+      std::string key = base_key;
+      key.push_back(method == IntegrationMethod::kBackwardEuler ? 'b' : 't');
+      append_bits(key, h);
+      for (bool closed : states) key.push_back(closed ? '1' : '0');
+      pattern.factors = &options.factor_cache->get(
+          key, [&] { return build_matrix(method, h, states); });
+    } else {
+      pattern.owned =
+          std::make_unique<LuFactorization>(build_matrix(method, h, states));
+      pattern.factors = pattern.owned.get();
+    }
+    last_pattern = patterns.size();
+    patterns.push_back(std::move(pattern));
+    return *patterns.back().factors;
   };
 
   // --- Time stepping ----------------------------------------------------------
-  bool first_step = true;
+  // A step reuses these buffers and the element records: it allocates
+  // nothing, formats no key and looks nothing up through the netlist.
+  Vector b(layout.unknown_count(), 0.0);
+  Vector x(layout.unknown_count(), 0.0);
   for (std::size_t step = 1; step <= n_steps; ++step) {
     const bool final_partial = remainder > 0.0 && step == n_steps;
     const double h = final_partial ? remainder : dt;
@@ -457,85 +500,54 @@ TransientResult simulate(const Netlist& netlist,
         step == n_steps ? t_stop : static_cast<double>(step) * dt;
     // First step uses backward Euler: trapezoidal needs consistent initial
     // element currents, which the ICs do not provide.
-    const IntegrationMethod method = first_step
-                                         ? IntegrationMethod::kBackwardEuler
-                                         : options.method;
+    const bool backward_euler =
+        step == 1 || options.method == IntegrationMethod::kBackwardEuler;
+    const IntegrationMethod method =
+        backward_euler ? IntegrationMethod::kBackwardEuler : options.method;
 
     if (options.controller) options.controller(t_next, states);
 
-    const LuFactorization& factors = factorization_for(method, h, states);
+    const LuFactorization& factors = factorization_for(method, h);
 
-    // RHS for this step.
-    MnaStamper rhs_stamper(layout);
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      switch (e.kind) {
-        case ElementKind::kCapacitor: {
-          if (method == IntegrationMethod::kBackwardEuler) {
-            const double g = e.value / h;
-            rhs_stamper.stamp_current_injection(e.node_b, e.node_a,
-                                                g * rs.cap_voltage[i]);
-          } else {
-            const double g = 2.0 * e.value / h;
-            rhs_stamper.stamp_current_injection(
-                e.node_b, e.node_a,
-                g * rs.cap_voltage[i] + rs.cap_current[i]);
-          }
-          break;
-        }
-        case ElementKind::kInductor: {
-          const std::size_t row = layout.branch_row(i);
-          if (method == IntegrationMethod::kBackwardEuler) {
-            rhs_stamper.rhs()[row] = -(e.value / h) * rs.ind_current[i];
-          } else {
-            rhs_stamper.rhs()[row] =
-                -(2.0 * e.value / h) * rs.ind_current[i] - rs.ind_voltage[i];
-          }
-          break;
-        }
-        case ElementKind::kVoltageSource:
-          rhs_stamper.rhs()[layout.branch_row(i)] = e.source(t_next);
-          break;
-        case ElementKind::kCurrentSource:
-          rhs_stamper.stamp_current_injection(e.node_a, e.node_b,
-                                              e.source(t_next));
-          break;
-        default:
-          break;
+    // RHS: companion-model history and source values.
+    std::fill(b.begin(), b.end(), 0.0);
+    for (CapacitorRecord& c : capacitors) {
+      if (backward_euler) {
+        c.g = c.c / h;
+        c.i_eq = c.g * c.v;
+      } else {
+        c.g = 2.0 * c.c / h;
+        c.i_eq = c.g * c.v + c.i;
       }
     }
-
-    const Vector x = factors.solve(rhs_stamper.rhs());
-
-    Vector v_new(netlist.node_count(), 0.0);
-    for (NodeId n = 1; n < netlist.node_count(); ++n)
-      v_new[n] = x[layout.node_row(n)];
-    const Vector branch(x.begin() + static_cast<long>(layout.node_unknowns()),
-                        x.end());
-
-    // Update reactive histories.
-    for (std::size_t i = 0; i < n_elements; ++i) {
-      const Element& e = netlist.element(i);
-      if (e.kind == ElementKind::kCapacitor) {
-        const double v_ab = v_new[e.node_a] - v_new[e.node_b];
-        if (method == IntegrationMethod::kBackwardEuler) {
-          rs.cap_current[i] = (e.value / h) * (v_ab - rs.cap_voltage[i]);
-        } else {
-          rs.cap_current[i] =
-              (2.0 * e.value / h) * (v_ab - rs.cap_voltage[i]) -
-              rs.cap_current[i];
-        }
-        rs.cap_voltage[i] = v_ab;
-      } else if (e.kind == ElementKind::kInductor) {
-        rs.ind_current[i] = branch[layout.branch_row(i) -
-                                   layout.node_unknowns()];
-        rs.ind_voltage[i] = v_new[e.node_a] - v_new[e.node_b];
-      }
+    for (ISourceRecord& s : isources) s.i = (*s.source)(t_next);
+    for (const Injection& inj : injections) {
+      if (inj.from != MnaLayout::kNoRow) b[inj.from] -= *inj.amps;
+      if (inj.to != MnaLayout::kNoRow) b[inj.to] += *inj.amps;
     }
+    for (const InductorRecord& l : inductors) {
+      b[l.branch] = backward_euler ? -(l.l / h) * l.i
+                                   : -(2.0 * l.l / h) * l.i - l.v;
+    }
+    for (const VSourceRecord& s : vsources) b[s.branch] = (*s.source)(t_next);
 
-    if (options.observer) options.observer(t_next, v_new);
-    record(t_next, v_new, compute_currents(t_next, v_new, rs, branch, states));
-    first_step = false;
+    factors.solve(b, x);
+    for (NodeId n = 1; n < n_nodes; ++n) v[n] = x[n - 1];
+
+    // Update reactive histories and branch currents.
+    for (CapacitorRecord& c : capacitors) {
+      const double v_ab = v[c.a] - v[c.b];
+      c.i = backward_euler ? c.g * (v_ab - c.v) : c.g * (v_ab - c.v) - c.i;
+      c.v = v_ab;
+    }
+    for (InductorRecord& l : inductors) {
+      l.i = x[l.branch];
+      l.v = v[l.a] - v[l.b];
+    }
+    for (VSourceRecord& s : vsources) s.i = x[s.branch];
+
+    if (options.observer) options.observer(t_next, v);
+    record(t_next);
   }
 
   return TransientResult(netlist, std::move(times), std::move(node_voltages),

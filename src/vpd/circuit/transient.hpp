@@ -99,9 +99,12 @@ struct TransientOptions {
 /// above).
 class TransientResult {
  public:
+  /// `node_voltages` is row-major samples x netlist.node_count() (indexed
+  /// by NodeId within a sample); `element_currents` is row-major samples x
+  /// netlist.element_count() (indexed by ElementId).
   TransientResult(const Netlist& netlist, std::vector<double> times,
-                  std::vector<Vector> node_voltages,
-                  std::vector<Vector> element_currents);
+                  std::vector<double> node_voltages,
+                  std::vector<double> element_currents);
 
   std::size_t sample_count() const { return times_.size(); }
   const std::vector<double>& times() const { return times_; }
@@ -128,8 +131,8 @@ class TransientResult {
  private:
   const Netlist* netlist_;
   std::vector<double> times_;
-  std::vector<Vector> node_voltages_;     // per sample, indexed by NodeId
-  std::vector<Vector> element_currents_;  // per sample, indexed by ElementId
+  std::vector<double> node_voltages_;     // samples x nodes, row-major
+  std::vector<double> element_currents_;  // samples x elements, row-major
 };
 
 /// Runs the transient analysis. Throws InvalidArgument for bad options and

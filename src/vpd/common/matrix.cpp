@@ -123,9 +123,17 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
 }
 
 Vector LuFactorization::solve(const Vector& b) const {
+  Vector x(size());
+  solve(b, x);
+  return x;
+}
+
+void LuFactorization::solve(const Vector& b, Vector& x) const {
   const std::size_t n = size();
   VPD_REQUIRE(b.size() == n, "rhs has ", b.size(), " entries, expected ", n);
-  Vector x(n);
+  VPD_REQUIRE(x.size() == n, "solution has ", x.size(), " entries, expected ",
+              n);
+  VPD_REQUIRE(&x != &b, "solution must not alias the rhs");
   // Apply permutation, forward-substitute L (unit diagonal).
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[perm_[i]];
@@ -138,7 +146,6 @@ Vector LuFactorization::solve(const Vector& b) const {
     for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
     x[ii] = s / lu_(ii, ii);
   }
-  return x;
 }
 
 double LuFactorization::determinant() const {

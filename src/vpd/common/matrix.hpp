@@ -73,6 +73,9 @@ class LuFactorization {
 
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
+  /// Solves A x = b into a caller-owned `x` of size() entries (no
+  /// allocation; `x` must not alias `b`). Bit-identical to solve(b).
+  void solve(const Vector& b, Vector& x) const;
 
   /// Determinant of the factored matrix (sign-adjusted for pivoting).
   double determinant() const;

@@ -151,6 +151,39 @@ TEST(Lu, RandomSystemsHaveSmallResidual) {
   }
 }
 
+TEST(Lu, SolveIntoBufferIsBitIdenticalToReturningSolve) {
+  Rng rng(7);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 3 + rng.next_below(12);
+    Matrix a(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
+    const LuFactorization lu{a};
+    Vector b(n);
+    for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-5.0, 5.0);
+    const Vector returned = lu.solve(b);
+    // A reused buffer holding stale values must be fully overwritten.
+    Vector into(n, 1e300);
+    lu.solve(b, into);
+    ASSERT_EQ(into.size(), returned.size());
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(into[i], returned[i]) << "trial " << trial << " i=" << i;
+  }
+}
+
+TEST(Lu, SolveIntoBufferRejectsWrongSizes) {
+  const LuFactorization lu{Matrix{{2.0, 1.0}, {1.0, 3.0}}};
+  const Vector b{1.0, 2.0};
+  Vector short_x(1);
+  Vector long_x(3);
+  EXPECT_THROW(lu.solve(b, short_x), InvalidArgument);
+  EXPECT_THROW(lu.solve(b, long_x), InvalidArgument);
+  Vector x(2);
+  EXPECT_THROW(lu.solve(Vector{1.0}, x), InvalidArgument);
+  Vector aliased{1.0, 2.0};
+  EXPECT_THROW(lu.solve(aliased, aliased), InvalidArgument);
+}
+
 TEST(VectorOps, DotNormAxpy) {
   const Vector a{1.0, 2.0, 2.0};
   const Vector b{2.0, 1.0, 0.0};

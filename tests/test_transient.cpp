@@ -2,10 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "vpd/circuit/pwm.hpp"
 #include "vpd/common/error.hpp"
+
+// Counts global heap allocations so a test can check that the step loop
+// allocates nothing: the allocations of one simulate() call must not grow
+// with its step count.
+namespace {
+std::atomic<std::uint64_t> heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined, so GCC does not pair this free() with an inlined new
+// expression and warn -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace vpd {
 namespace {
@@ -399,6 +423,183 @@ TEST(Transient, CurrentSourceLoadDrawsFromNode) {
   // Load absorbs 5 W continuously.
   EXPECT_NEAR(r.power("Iload").back(), 5.0, 1e-9);
   EXPECT_NEAR(r.power("V1").back(), -5.0, 1e-9);
+}
+
+TEST(Transient, StackedVoltageSourcesReportTheirT0Current) {
+  // Regression: V1's t = 0 current was derived by KCL from element
+  // currents not filled in yet (V2 comes later in the netlist) and read
+  // 0 A at t = 0 but -2 A at every later sample.
+  Netlist nl;
+  const NodeId n1 = nl.add_node("n1");
+  const NodeId n2 = nl.add_node("n2");
+  nl.add_vsource("V1", n1, kGround, 1.0_V);
+  nl.add_vsource("V2", n2, n1, 1.0_V);
+  nl.add_resistor("R1", n2, kGround, 1.0_Ohm);
+  TransientOptions opts;
+  opts.t_stop = Seconds{1e-5};
+  opts.dt = Seconds{1e-6};
+  for (bool from_dc : {false, true}) {
+    opts.initialize_from_dc = from_dc;
+    const TransientResult r = simulate(nl, opts);
+    for (const char* name : {"V1", "V2"}) {
+      const Trace i = r.current(name);
+      EXPECT_NEAR(i.values().front(), -2.0, 1e-9)
+          << name << " from_dc=" << from_dc;
+      EXPECT_NEAR(i.values().front(), i.values()[1], 1e-9)
+          << name << " from_dc=" << from_dc;
+    }
+    EXPECT_NEAR(r.current("R1").values().front(), 2.0, 1e-9);
+  }
+}
+
+/// FNV-1a over the bit patterns of every sample time, every node-voltage
+/// trace and every element current from sample 1 on (t = 0 V-source
+/// currents come from the initialization solve, not from a step).
+std::uint64_t record_digest(const Netlist& nl, const TransientResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (bits >> shift) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (double t : r.times()) mix(t);
+  for (NodeId n = 0; n < nl.node_count(); ++n) {
+    const Trace v = r.voltage(n);
+    for (double value : v.values()) mix(value);
+  }
+  for (ElementId e = 0; e < nl.element_count(); ++e) {
+    const Trace i = r.current(e);
+    for (std::size_t k = 1; k < i.sample_count(); ++k) mix(i.values()[k]);
+  }
+  return h;
+}
+
+/// Synchronous buck under its PWM drive: the controller flips the switch
+/// pair every half period (factor patterns A -> B -> A ...), and dt does
+/// not divide t_stop, so a shortened final step runs as well.
+Netlist pinned_buck() {
+  Netlist nl;
+  const NodeId vin = nl.add_node("vin");
+  const NodeId sw = nl.add_node("sw");
+  const NodeId out = nl.add_node("out");
+  nl.add_vsource("Vin", vin, kGround, 12.0_V);
+  nl.add_switch("S_hi", vin, sw, Resistance{1e-3}, Resistance{1e8});
+  nl.add_switch("S_lo", sw, kGround, Resistance{1e-3}, Resistance{1e8});
+  nl.add_inductor("L1", sw, out, 10.0_uH, Current{6.0});
+  nl.add_capacitor("Cout", out, kGround, 100.0_uF, 6.0_V);
+  nl.add_resistor("Rload", out, kGround, 1.0_Ohm);
+  return nl;
+}
+
+/// Series RLC fed by a stepped V source with a pulsed I-source load.
+Netlist pinned_rlc() {
+  Netlist nl;
+  const NodeId in = nl.add_node("in");
+  const NodeId mid = nl.add_node("mid");
+  const NodeId out = nl.add_node("out");
+  nl.add_vsource("Vs", in, kGround,
+                 [](double t) { return t < 2e-6 ? 0.5 : 1.0; });
+  nl.add_resistor("Rs", in, mid, Resistance{0.05});
+  nl.add_inductor("Ls", mid, out, Inductance{1e-7});
+  nl.add_capacitor("Co", out, kGround, Capacitance{2e-6}, Voltage{0.2});
+  nl.add_resistor("Rl", out, kGround, Resistance{2.0});
+  nl.add_isource("Il", out, kGround, [](double t) {
+    return std::fmod(t, 1e-6) < 0.5e-6 ? 0.3 : 0.1;
+  });
+  return nl;
+}
+
+struct PinnedRun {
+  std::uint64_t digest;
+  TransientFactorCache::Stats stats;  // after two cached runs
+};
+
+/// Runs `nl` without a shared cache, then twice through one shared cache;
+/// all three records must be bit-identical.
+PinnedRun run_pinned(const Netlist& nl, TransientOptions opts) {
+  const std::uint64_t lone = record_digest(nl, simulate(nl, opts));
+  TransientFactorCache cache;
+  opts.factor_cache = &cache;
+  const std::uint64_t first = record_digest(nl, simulate(nl, opts));
+  const std::uint64_t second = record_digest(nl, simulate(nl, opts));
+  EXPECT_EQ(first, lone);
+  EXPECT_EQ(second, lone);
+  return {lone, cache.stats()};
+}
+
+TEST(Transient, PinnedPwmBuckRecordIsBitIdentical) {
+  const Netlist nl = pinned_buck();
+  GateDrive drive(nl);
+  drive.assign_pair("S_hi", "S_lo", PwmSignal(500.0_kHz, 0.4), 0.0_ns);
+  TransientOptions opts;
+  opts.t_stop = Seconds{10.003e-6};  // 5 cycles + a partial final step
+  opts.dt = Seconds{1e-8};
+  opts.controller = drive.controller();
+  const PinnedRun run = run_pinned(nl, opts);
+  EXPECT_EQ(run.digest, 0xbc34c7b2df42eb09ull);
+  // Every distinct pattern misses once in the first cached run and hits
+  // once in the second.
+  EXPECT_EQ(run.stats.misses, 5u);
+  EXPECT_EQ(run.stats.hits, 5u);
+}
+
+TEST(Transient, PinnedRlcRecordIsBitIdenticalUnderBothMethods) {
+  const Netlist nl = pinned_rlc();
+  TransientOptions opts;
+  opts.t_stop = Seconds{5e-6};
+  opts.dt = Seconds{1e-8};
+  opts.method = IntegrationMethod::kBackwardEuler;
+  const PinnedRun be = run_pinned(nl, opts);
+  EXPECT_EQ(be.digest, 0x5d03ade7c9091a59ull);
+  EXPECT_EQ(be.stats.misses, 1u);
+  EXPECT_EQ(be.stats.hits, 1u);
+  opts.method = IntegrationMethod::kTrapezoidal;
+  const PinnedRun trap = run_pinned(nl, opts);
+  EXPECT_EQ(trap.digest, 0x3b55df8d0caa298bull);
+  // First-step backward Euler plus the trapezoidal full steps.
+  EXPECT_EQ(trap.stats.misses, 2u);
+  EXPECT_EQ(trap.stats.hits, 2u);
+}
+
+TEST(Transient, StepLoopAllocationsDoNotGrowWithStepCount) {
+  // Everything a simulation allocates (element records, factors, the
+  // recording arrays reserved up front) is sized before the first step,
+  // so 10x the steps over the same factor patterns allocates no more.
+  const auto allocations = [](const Netlist& nl, TransientOptions opts,
+                              double t_stop) {
+    opts.t_stop = Seconds{t_stop};
+    const std::uint64_t before = heap_allocations.load();
+    { const TransientResult r = simulate(nl, opts); }
+    return heap_allocations.load() - before;
+  };
+
+  const Netlist rlc = pinned_rlc();
+  TransientOptions opts;
+  opts.dt = Seconds{1e-8};
+  for (IntegrationMethod method :
+       {IntegrationMethod::kBackwardEuler, IntegrationMethod::kTrapezoidal}) {
+    opts.method = method;
+    EXPECT_EQ(allocations(rlc, opts, 1e-6), allocations(rlc, opts, 1e-5));
+    TransientFactorCache cache;
+    opts.factor_cache = &cache;
+    (void)allocations(rlc, opts, 1e-6);  // populate the shared cache
+    EXPECT_EQ(allocations(rlc, opts, 1e-6), allocations(rlc, opts, 1e-5));
+    opts.factor_cache = nullptr;
+  }
+
+  // Strictly complementary drive, so both runs visit the same patterns.
+  const Netlist buck = pinned_buck();
+  opts.method = IntegrationMethod::kTrapezoidal;
+  opts.controller = [](double t, SwitchStates& s) {
+    const bool high = std::fmod(t, 2e-6) < 0.8e-6;
+    s[0] = high;
+    s[1] = !high;
+  };
+  opts.observer = [](double, const Vector&) {};
+  EXPECT_EQ(allocations(buck, opts, 4e-6), allocations(buck, opts, 40e-6));
 }
 
 }  // namespace
