@@ -12,35 +12,37 @@ PwmSignal::PwmSignal(Frequency frequency, double duty, double phase) {
   VPD_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty ", duty, " outside [0,1]");
   VPD_REQUIRE(phase >= 0.0 && phase < 1.0, "phase ", phase, " outside [0,1)");
   period_ = 1.0 / frequency.value;
-  duty_ = duty;
   phase_ = phase;
+  on_ = 0.0;
+  off_ = duty;
 }
 
-PwmSignal::PwmSignal(double period, double duty, double phase,
-                     double lead_guard, double tail_guard)
-    : period_(period),
-      duty_(duty),
-      phase_(phase),
-      lead_guard_(lead_guard),
-      tail_guard_(tail_guard) {}
+PwmSignal::PwmSignal(double period, double phase, double on, double off)
+    : period_(period), phase_(phase), on_(on), off_(off) {}
 
 bool PwmSignal::is_high(double time) const {
   double u = std::fmod(time / period_ - phase_, 1.0);
   if (u < 0.0) u += 1.0;
-  return u >= lead_guard_ && u < duty_ - tail_guard_;
+  if (u < on_) u += 1.0;  // the window may wrap past the period end
+  return u < off_;
 }
 
 PwmSignal PwmSignal::complement(Seconds dead_time) const {
   VPD_REQUIRE(dead_time.value >= 0.0, "negative dead time");
   const double guard = dead_time.value / period_;
-  VPD_REQUIRE(2.0 * guard < 1.0 - duty_,
+  VPD_REQUIRE(2.0 * guard < 1.0 - duty(),
               "dead time ", dead_time.value, " s leaves no on-time for the "
-              "complementary switch at duty ", duty_);
-  // Complement occupies [duty, 1) of the original period, shrunk by the
-  // guard on both edges.
-  double phase = phase_ + duty_;
-  phase -= std::floor(phase);
-  return PwmSignal(period_, 1.0 - duty_, phase, guard, guard);
+              "complementary switch at duty ", duty());
+  // The complement occupies [off, on + 1) of the same carrier, shrunk by
+  // the guard on both edges. Same carrier phase, so with no guard the two
+  // windows split every phase fraction exactly.
+  double on = off_ + guard;
+  double off = on_ + 1.0 - guard;
+  if (on >= 1.0) {
+    on -= 1.0;
+    off -= 1.0;
+  }
+  return PwmSignal(period_, phase_, on, off);
 }
 
 GateDrive::GateDrive(const Netlist& netlist)

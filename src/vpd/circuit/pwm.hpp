@@ -22,25 +22,30 @@ class PwmSignal {
   PwmSignal(Frequency frequency, double duty, double phase = 0.0);
 
   bool is_high(double time) const;
-  double duty() const { return duty_; }
+  /// Fraction of the period the signal is high.
+  double duty() const { return off_ - on_; }
+  /// Carrier phase the high window is measured from (for a complement,
+  /// the phase of the signal it complements).
   double phase() const { return phase_; }
   double period() const { return period_; }
 
   /// Complementary signal with symmetric dead time: low a little after this
   /// signal falls and high a little before it rises, never overlapping.
+  /// It shares this signal's carrier phase, so both edges are decided by
+  /// the same phase fraction: with zero dead time exactly one of the pair
+  /// is high at every instant.
   PwmSignal complement(Seconds dead_time = Seconds{0.0}) const;
 
  private:
-  PwmSignal(double period, double duty, double phase, double lead_guard,
-            double tail_guard);
+  PwmSignal(double period, double phase, double on, double off);
 
   double period_;
-  double duty_;
   double phase_;
-  // Guard intervals (fractions of the period) trimmed from the high window;
-  // used by complementary signals to realize dead time.
-  double lead_guard_{0.0};
-  double tail_guard_{0.0};
+  // High window [on_, off_) as fractions of the period past phase_, with
+  // 0 <= on_ < 1 and on_ <= off_ <= on_ + 1 (a complement's window may
+  // run past the period end).
+  double on_;
+  double off_;
 };
 
 /// Assigns PWM signals to switches of a netlist and exposes the

@@ -16,6 +16,28 @@ void TripletList::add(std::size_t row, std::size_t col, double value) {
   entries_.push_back({row, col, value});
 }
 
+namespace {
+
+/// FNV-1a-style hash over the matrix shape and index arrays, one 64-bit
+/// word per step: the pattern half of CgWorkspace's operator key.
+std::uint64_t pattern_hash(std::size_t rows, std::size_t cols,
+                           const std::vector<std::size_t>& offsets,
+                           const std::vector<std::size_t>& indices) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+    h ^= h >> 32;
+  };
+  mix(rows);
+  mix(cols);
+  for (std::size_t v : offsets) mix(v);
+  for (std::size_t v : indices) mix(v);
+  return h;
+}
+
+}  // namespace
+
 CsrMatrix::CsrMatrix(const TripletList& triplets)
     : rows_(triplets.rows()), cols_(triplets.cols()) {
   // Counting sort by row (O(nnz), stable), small per-row sorts by column,
@@ -79,6 +101,7 @@ CsrMatrix::CsrMatrix(const TripletList& triplets)
   }
   std::partial_sum(row_offsets_.begin(), row_offsets_.end(),
                    row_offsets_.begin());
+  pattern_digest_ = pattern_hash(rows_, cols_, row_offsets_, col_indices_);
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {
@@ -268,6 +291,71 @@ IcSymbolic::IcSymbolic(const CsrMatrix& a, unsigned fill_level) {
       ++cursor[c];
     }
   }
+
+  // Gather schedule for apply(). Rows are emitted in wavefront
+  // (topological level) order: a row's level is one past the deepest row
+  // it reads, so consecutive loop iterations in apply() are independent
+  // and the out-of-order core overlaps them instead of serializing on the
+  // row-to-row dependency chain. Rows within a level never read each
+  // other's output, so the schedule changes only execution order, not a
+  // single arithmetic operation — results are bit-identical to the
+  // natural-order sweep.
+  VPD_REQUIRE(entry_count() < std::size_t{1} << 32,
+              "IC pattern too large for 32-bit apply indexing");
+  const std::size_t lower = col_offsets_[n];
+  std::vector<std::uint32_t> wave(n, 0);
+  std::vector<std::size_t> order(n);
+  const auto order_by_level = [&] {
+    std::vector<std::size_t> count;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (wave[r] >= count.size()) count.resize(wave[r] + 1, 0);
+      ++count[wave[r]];
+    }
+    std::vector<std::size_t> start(count.size() + 1, 0);
+    std::partial_sum(count.begin(), count.end(), start.begin() + 1);
+    for (std::size_t r = 0; r < n; ++r) order[start[wave[r]]++] = r;
+  };
+
+  // Forward sweep (L, by rows): row r reads columns < r.
+  for (std::size_t r = 0; r < n; ++r) {
+    std::uint32_t lv = 0;
+    for (std::size_t k = offsets_[r]; k + 1 < offsets_[r + 1]; ++k)
+      lv = std::max(lv, wave[cols_[k]] + 1);
+    wave[r] = lv;
+  }
+  order_by_level();
+  fwd_off_.assign(n + 1, 0);
+  fwd_row_.resize(n);
+  fwd_cols_.resize(lower);
+  std::size_t at = 0;
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const std::size_t r = order[idx];
+    fwd_row_[idx] = static_cast<std::uint32_t>(r);
+    for (std::size_t k = offsets_[r]; k + 1 < offsets_[r + 1]; ++k)
+      fwd_cols_[at++] = static_cast<std::uint32_t>(cols_[k]);
+    fwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
+  }
+
+  // Backward sweep (L^T, by rows = L by columns): row r reads rows > r.
+  wave.assign(n, 0);
+  for (std::size_t r = n; r-- > 0;) {
+    std::uint32_t lv = 0;
+    for (std::size_t p = col_offsets_[r]; p < col_offsets_[r + 1]; ++p)
+      lv = std::max(lv, wave[col_rows_[p]] + 1);
+    wave[r] = lv;
+  }
+  order_by_level();
+  bwd_off_.assign(n + 1, 0);
+  bwd_row_.resize(n);
+  bwd_cols_.resize(lower);
+  at = 0;
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const std::size_t r = order[idx];
+    bwd_row_[idx] = static_cast<std::uint32_t>(r);
+    for (std::size_t p = col_offsets_[r]; p < col_offsets_[r + 1]; ++p)
+      bwd_cols_[at++] = static_cast<std::uint32_t>(col_rows_[p]);
+    bwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
+  }
 }
 
 void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
@@ -348,83 +436,27 @@ void IcPreconditioner::factor(const CsrMatrix& a, const IcSymbolic* shared) {
 
 void IcPreconditioner::finalize_apply_arrays() {
   const IcSymbolic& sym = *symbolic_;
-  const std::size_t n = sym.rows();
-  n_ = n;
-  const std::size_t lower = sym.col_offsets_[n];
-  VPD_REQUIRE(sym.entry_count() < std::size_t{1} << 32,
-              "IC pattern too large for 32-bit apply indexing");
-
-  // Rows are emitted in wavefront (topological level) order: a row's level
-  // is one past the deepest row it reads, so consecutive loop iterations in
-  // apply() are independent and the out-of-order core overlaps them
-  // instead of serializing on the row-to-row dependency chain. Rows within
-  // a level never read each other's output, so the schedule changes only
-  // execution order, not a single arithmetic operation — results are
-  // bit-identical to the natural-order sweep.
-  std::vector<std::uint32_t> level(n, 0);
-  std::vector<std::size_t> order(n);
-  const auto order_by_level = [&] {
-    std::vector<std::size_t> count;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (level[r] >= count.size()) count.resize(level[r] + 1, 0);
-      ++count[level[r]];
-    }
-    std::vector<std::size_t> start(count.size() + 1, 0);
-    std::partial_sum(count.begin(), count.end(), start.begin() + 1);
-    for (std::size_t r = 0; r < n; ++r) order[start[level[r]]++] = r;
-  };
-
-  // Forward sweep (L, by rows): row r reads columns < r.
-  for (std::size_t r = 0; r < n; ++r) {
-    std::uint32_t lv = 0;
-    for (std::size_t k = sym.offsets_[r]; k + 1 < sym.offsets_[r + 1]; ++k)
-      lv = std::max(lv, level[sym.cols_[k]] + 1);
-    level[r] = lv;
-  }
-  order_by_level();
-  fwd_off_.resize(n + 1);
-  fwd_row_.resize(n);
-  fwd_cols_.resize(lower);
-  fwd_vals_.resize(lower);
-  std::size_t at = 0;
-  fwd_off_[0] = 0;
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::size_t r = order[idx];
-    fwd_row_[idx] = static_cast<std::uint32_t>(r);
-    for (std::size_t k = sym.offsets_[r]; k + 1 < sym.offsets_[r + 1]; ++k) {
-      fwd_cols_[at] = static_cast<std::uint32_t>(sym.cols_[k]);
-      fwd_vals_[at] = values_[k];
-      ++at;
-    }
-    fwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
-  }
-
-  // Backward sweep (L^T, by rows = L by columns): row r reads rows > r.
-  level.assign(n, 0);
-  for (std::size_t r = n; r-- > 0;) {
-    std::uint32_t lv = 0;
-    for (std::size_t p = sym.col_offsets_[r]; p < sym.col_offsets_[r + 1];
+  n_ = sym.rows();
+  fwd_off_ = sym.fwd_off_;
+  fwd_cols_ = sym.fwd_cols_;
+  fwd_row_ = sym.fwd_row_;
+  bwd_off_ = sym.bwd_off_;
+  bwd_cols_ = sym.bwd_cols_;
+  bwd_row_ = sym.bwd_row_;
+  // Same traversal as the schedule build: row r's forward entries are its
+  // strict-lower slots, its backward entries the column-r view.
+  fwd_vals_.resize(fwd_cols_.size());
+  bwd_vals_.resize(bwd_cols_.size());
+  std::size_t fwd = 0;
+  std::size_t bwd = 0;
+  for (std::size_t idx = 0; idx < n_; ++idx) {
+    const std::size_t rf = fwd_row_[idx];
+    for (std::size_t k = sym.offsets_[rf]; k + 1 < sym.offsets_[rf + 1]; ++k)
+      fwd_vals_[fwd++] = values_[k];
+    const std::size_t rb = bwd_row_[idx];
+    for (std::size_t p = sym.col_offsets_[rb]; p < sym.col_offsets_[rb + 1];
          ++p)
-      lv = std::max(lv, level[sym.col_rows_[p]] + 1);
-    level[r] = lv;
-  }
-  order_by_level();
-  bwd_off_.resize(n + 1);
-  bwd_row_.resize(n);
-  bwd_cols_.resize(lower);
-  bwd_vals_.resize(lower);
-  at = 0;
-  bwd_off_[0] = 0;
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::size_t r = order[idx];
-    bwd_row_[idx] = static_cast<std::uint32_t>(r);
-    for (std::size_t p = sym.col_offsets_[r]; p < sym.col_offsets_[r + 1];
-         ++p) {
-      bwd_cols_[at] = static_cast<std::uint32_t>(sym.col_rows_[p]);
-      bwd_vals_[at] = values_[sym.col_slots_[p]];
-      ++at;
-    }
-    bwd_off_[idx + 1] = static_cast<std::uint32_t>(at);
+      bwd_vals_[bwd++] = values_[sym.col_slots_[p]];
   }
 }
 
@@ -453,8 +485,8 @@ void IcPreconditioner::apply(const Vector& r, Vector& z) const {
 
   z = r;
   // Forward solve L y = r (IC) or (D + L) y = r (SSOR): gather over the
-  // strict-lower rows, visited in wavefront order (see
-  // finalize_apply_arrays — bit-identical to the natural-order sweep).
+  // strict-lower rows, visited in wavefront order (see IcSymbolic —
+  // bit-identical to the natural-order sweep).
   for (std::size_t idx = 0; idx < n; ++idx) {
     const std::uint32_t i = fwd_row_[idx];
     double s = z[i];
@@ -481,36 +513,13 @@ void IcPreconditioner::apply(const Vector& r, Vector& z) const {
 CgWorkspace::CgWorkspace() = default;
 CgWorkspace::~CgWorkspace() = default;
 
-namespace {
-
-/// FNV-1a over the matrix shape and index arrays: the structural half of
-/// the workspace's operator key. One 64-bit word instead of a second copy
-/// of the pattern (~half the old key's footprint on large meshes); the
-/// values half stays an exact copy so reuse never changes a result bit.
-std::uint64_t structural_digest(const CsrMatrix& a) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(a.rows());
-  mix(a.cols());
-  for (std::size_t v : a.row_offsets()) mix(v);
-  for (std::size_t v : a.col_indices()) mix(v);
-  return h;
-}
-
-}  // namespace
-
 bool CgWorkspace::key_matches(const CsrMatrix& a) const {
-  return key_valid_ && key_digest_ == structural_digest(a) &&
+  return key_valid_ && key_digest_ == a.pattern_digest() &&
          key_values_ == a.values();
 }
 
 void CgWorkspace::capture_key(const CsrMatrix& a) {
-  key_digest_ = structural_digest(a);
+  key_digest_ = a.pattern_digest();
   key_values_ = a.values();
   key_valid_ = true;
 }
@@ -559,7 +568,7 @@ void CgWorkspace::prepare(const CsrMatrix& a, const CgOptions& options) {
   if (options.preconditioner == CgPreconditioner::kMultigrid) {
     VPD_REQUIRE(options.mg_symbolic != nullptr,
                 "kMultigrid requires CgOptions::mg_symbolic (the "
-                "grid-derived hierarchy; see AssembledMesh::mg_symbolic)");
+                "grid-derived hierarchy; see MeshPattern::mg_symbolic)");
     VPD_REQUIRE(options.mg_symbolic->rows() == n,
                 "multigrid hierarchy is for a ", options.mg_symbolic->rows(),
                 "-row grid, got a ", n, "-row matrix");

@@ -68,6 +68,11 @@ class CsrMatrix {
   std::size_t cols() const { return cols_; }
   /// Number of stored entries (stored zeros included).
   std::size_t nonzero_count() const { return values_.size(); }
+  /// Digest of the shape and index arrays, computed once when the
+  /// triplets are compiled and carried by copies (the pattern is fixed
+  /// from then on). Equal patterns have equal digests; CgWorkspace keys
+  /// reuse on it instead of rehashing the index arrays per solve.
+  std::uint64_t pattern_digest() const { return pattern_digest_; }
 
   /// y = A x
   Vector multiply(const Vector& x) const;
@@ -113,6 +118,7 @@ class CsrMatrix {
   std::vector<std::size_t> row_offsets_;  // size rows_+1
   std::vector<std::size_t> col_indices_;
   std::vector<double> values_;
+  std::uint64_t pattern_digest_{0};
 };
 
 /// Preconditioner for solve_cg.
@@ -142,12 +148,13 @@ enum class CgPreconditioner {
 const char* to_string(CgPreconditioner preconditioner);
 
 /// Lower-triangle sparsity pattern of a square CSR matrix, precomputed for
-/// IC(0)/SSOR factorizations: per-row column lists (diagonal last) plus the
-/// mapping from each lower-triangle slot back to the source value index.
+/// IC(0)/SSOR factorizations: per-row column lists (diagonal last), the
+/// mapping from each lower-triangle slot back to the source value index,
+/// and the wavefront-ordered gather schedule of the triangular sweeps.
 /// The pattern depends only on the matrix structure, so one IcSymbolic can
-/// be shared by every matrix with that pattern — e.g. cached alongside a
-/// mesh Laplacian whose VR shunt stamps only touch existing diagonal
-/// entries.
+/// be shared by every matrix with that pattern — e.g. cached once per mesh
+/// grid, whose VR shunt stamps only touch existing diagonal entries and
+/// whose perturbations keep severed edges as stored zeros.
 class IcSymbolic {
  public:
   /// Default fill level: level-1 fill (entries reachable through one
@@ -180,6 +187,14 @@ class IcSymbolic {
   std::vector<std::size_t> col_offsets_;  // rows+1
   std::vector<std::size_t> col_slots_;
   std::vector<std::size_t> col_rows_;
+  // Gather schedule of the triangular sweeps in IcPreconditioner::apply():
+  // the forward sweep walks L by rows, the backward sweep walks L^T by rows
+  // (i.e. L by columns, via the column view), so both sweeps are
+  // branch-free gathers. Rows are listed in wavefront (dependency-level)
+  // order; *_row_ names the original row per position. 32-bit indices
+  // keep the hot arrays in L1.
+  std::vector<std::uint32_t> fwd_off_, fwd_cols_, fwd_row_;
+  std::vector<std::uint32_t> bwd_off_, bwd_cols_, bwd_row_;
 };
 
 /// Numeric IC(0) factorization (with SSOR fallback) over an IcSymbolic
@@ -205,6 +220,8 @@ class IcPreconditioner {
 
  private:
   void setup_ssor(const CsrMatrix& a);
+  /// Copies the pattern's gather schedule and gathers the factor values
+  /// into it, so apply() never reads the (possibly shared) IcSymbolic.
   void finalize_apply_arrays();
 
   IcSymbolic owned_;  // used when no shared pattern given
@@ -217,14 +234,8 @@ class IcPreconditioner {
   Vector inv_diag_;             // 1 / diag_
   bool ssor_{false};
   // Compact gather form of the strict-lower triangle for apply(): the
-  // forward sweep walks L by rows, the backward sweep walks L^T by rows
-  // (i.e. L by columns, via the symbolic column view), so both sweeps are
-  // branch-free gathers. Rows are stored in wavefront (dependency-level)
-  // order — fwd_row_/bwd_row_ name the original row per slot — so the
-  // out-of-order core overlaps independent rows instead of serializing on
-  // the sweep's dependency chain; the arithmetic per row is unchanged, so
-  // results are bit-identical to a natural-order sweep. 32-bit indices
-  // keep the hot arrays in L1.
+  // pattern's wavefront schedule (see IcSymbolic) copied in, plus the
+  // factor values gathered into schedule order.
   std::vector<std::uint32_t> fwd_off_, fwd_cols_, fwd_row_;
   std::vector<std::uint32_t> bwd_off_, bwd_cols_, bwd_row_;
   std::vector<double> fwd_vals_, bwd_vals_;
@@ -252,7 +263,7 @@ struct CgOptions {
   /// stamps never change the pattern). nullptr builds it at factor time.
   const IcSymbolic* ic_symbolic{nullptr};
   /// Grid-derived multigrid hierarchy for kMultigrid (cached next to a
-  /// mesh Laplacian like ic_symbolic; see AssembledMesh::mg_symbolic).
+  /// mesh Laplacian like ic_symbolic; see MeshPattern::mg_symbolic).
   /// Required when preconditioner == kMultigrid — must be non-null with
   /// rows() matching the matrix, or the solve throws InvalidArgument.
   const MgSymbolic* mg_symbolic{nullptr};
@@ -264,11 +275,11 @@ struct CgOptions {
 /// Reusable solver state: the iteration vectors, the operator-derived
 /// scalars (||A||_inf, the SPD diagonal check, the Jacobi inverse
 /// diagonal), and the most recent IC(0)/SSOR or multigrid setup, all keyed
-/// to the matrix they were computed from. The key is a
-/// structural digest of the pattern (FNV-1a over shape + row offsets +
-/// column indices) plus an exact copy of the values — pattern storage is
-/// one hash instead of a second copy of the index arrays, while the exact
-/// value comparison still guarantees reuse can never change a result bit.
+/// to the matrix they were computed from. The key is the digest stored
+/// with the pattern (CsrMatrix::pattern_digest, computed once at compile
+/// time) plus an exact copy of the values — a key check reads one word
+/// instead of hashing or copying the index arrays, while the exact value
+/// comparison still guarantees reuse can never change a result bit.
 /// A repeat solve on a value-identical matrix — the common case in fault
 /// campaigns re-solving the same stamped operator and in warm-started
 /// sweeps — skips the diagonal scan and norm recompute and reuses the
@@ -317,7 +328,7 @@ class CgWorkspace {
   IcPreconditioner ic_;
   std::unique_ptr<MgPreconditioner> mg_;  // lazily constructed
   FactorKind factored_{FactorKind::kNone};  // kind the cached setup is for
-  // Operator key: structural digest + exact value copy (see class doc).
+  // Operator key: pattern digest + exact value copy (see class doc).
   std::uint64_t key_digest_{0};
   std::vector<double> key_values_;
   bool key_valid_{false};

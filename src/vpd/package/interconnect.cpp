@@ -53,7 +53,10 @@ Resistance VerticalInterconnectSpec::net_pair_resistance(
                     static_cast<double>(vias_per_net)};
 }
 
-std::vector<VerticalInterconnectSpec> table_one() {
+namespace {
+
+/// Builds Table I; table_rows() serves the one shared copy.
+std::vector<VerticalInterconnectSpec> build_table_one() {
   std::vector<VerticalInterconnectSpec> specs;
   {
     VerticalInterconnectSpec s;  // PCB/PKG: solder BGAs
@@ -133,8 +136,20 @@ std::vector<VerticalInterconnectSpec> table_one() {
   return specs;
 }
 
+/// Table I, built once on first use: every evaluation looks its levels up
+/// through interconnect_spec, so a per-call rebuild (strings included)
+/// would dominate that lookup.
+const std::vector<VerticalInterconnectSpec>& table_rows() {
+  static const std::vector<VerticalInterconnectSpec> rows = build_table_one();
+  return rows;
+}
+
+}  // namespace
+
+std::vector<VerticalInterconnectSpec> table_one() { return table_rows(); }
+
 VerticalInterconnectSpec interconnect_spec(InterconnectLevel level) {
-  for (const VerticalInterconnectSpec& s : table_one())
+  for (const VerticalInterconnectSpec& s : table_rows())
     if (s.level == level) return s;
   throw InvalidArgument("unknown interconnect level");
 }

@@ -218,8 +218,9 @@ IrDropResult solve_irdrop(const AssembledMesh& assembled,
                           const Vector& sink_currents,
                           const IrDropOptions& options) {
   return solve_assembled(assembled.mesh, assembled.laplacian,
-                         &assembled.ic_symbolic, &assembled.mg_symbolic, vrs,
-                         sink_currents, options);
+                         &assembled.pattern->ic_symbolic,
+                         &assembled.pattern->mg_symbolic, vrs, sink_currents,
+                         options);
 }
 
 Vector uniform_sinks(const GridMesh& mesh, Current total) {

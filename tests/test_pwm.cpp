@@ -76,6 +76,27 @@ TEST(PwmSignal, ComplementWithZeroDeadTimeIsExactComplement) {
   }
 }
 
+// The buck drive's pair (500 kHz, D = 0.4, no dead time) sampled exactly
+// on a 10 ns transient grid: the complement must decide each edge on the
+// same phase fraction as its signal, or rounding closes both switches at
+// some edges (t = 4.8, 12, 14, 16 us ...) or opens both.
+TEST(PwmSignal, ZeroDeadTimePairIsExactOnTheStepGrid) {
+  Netlist nl;
+  const NodeId a = nl.add_node("a");
+  const NodeId b = nl.add_node("b");
+  nl.add_switch("S_hi", a, b);
+  nl.add_switch("S_lo", b, kGround);
+  GateDrive drive(nl);
+  drive.assign_pair("S_hi", "S_lo", PwmSignal(500.0_kHz, 0.4), Seconds{0.0});
+  const auto ctrl = drive.controller();
+  SwitchStates states(2, false);
+  for (int k = 0; k <= 4000; ++k) {
+    const double t = k * 10e-9;
+    ctrl(t, states);
+    EXPECT_NE(states[0], states[1]) << "k=" << k << " t=" << t;
+  }
+}
+
 TEST(PwmSignal, ExcessiveDeadTimeThrows) {
   const PwmSignal hs(Frequency{1.0}, 0.9);
   EXPECT_THROW(hs.complement(Seconds{0.2}), InvalidArgument);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "vpd/common/error.hpp"
@@ -665,6 +666,59 @@ TEST(SolverCore, WorkspaceKeyDistinguishesOperatorsAcrossAlternation) {
   EXPECT_EQ(r2.x, solve_cg(a2, b, options).x);
 }
 
+TEST(SolverCore, CopiedMatrixReusesTheFactorization) {
+  // The workspace key reads the pattern digest stored at compile time, and
+  // copies carry it: a per-thread copy of a cached operator (the IR-drop
+  // path) must hit the factorization its original left behind.
+  Rng rng(29);
+  const CsrMatrix a = random_spd_laplacian(rng, 9, 9, 3);
+  const CsrMatrix copy = a;
+  EXPECT_EQ(copy.pattern_digest(), a.pattern_digest());
+  const Vector b = random_vector(rng, a.rows());
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
+
+  CgWorkspace ws;
+  const CgResult first = solve_cg(a, b, options, ws);
+  const CgResult second = solve_cg(copy, b, options, ws);
+  EXPECT_EQ(ws.stats().factorizations, 1u);
+  EXPECT_EQ(ws.stats().factorization_reuses, 1u);
+  EXPECT_EQ(first.x, second.x);
+  EXPECT_EQ(first.iterations, second.iterations);
+}
+
+TEST(SolverCore, SameValuesOnAnotherPatternRefactors) {
+  // Two 4x4 operators with byte-identical value arrays but different
+  // couplings, (0,2)+(1,3) versus (0,3)+(1,2): the exact value comparison
+  // alone cannot tell them apart, so the pattern half of the key must.
+  const auto build = [](std::size_t p0, std::size_t p1, std::size_t q0,
+                        std::size_t q1) {
+    TripletList t(4, 4);
+    for (std::size_t i = 0; i < 4; ++i) t.add(i, i, 4.0);
+    for (const auto& [i, j] : {std::pair{p0, p1}, std::pair{q0, q1}}) {
+      t.add(i, j, -1.0);
+      t.add(j, i, -1.0);
+    }
+    return CsrMatrix(t);
+  };
+  const CsrMatrix a1 = build(0, 2, 1, 3);
+  const CsrMatrix a2 = build(0, 3, 1, 2);
+  ASSERT_EQ(a1.values(), a2.values());
+  ASSERT_NE(a1.col_indices(), a2.col_indices());
+  EXPECT_NE(a1.pattern_digest(), a2.pattern_digest());
+  const Vector b{1.0, 2.0, 3.0, 4.0};
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
+
+  CgWorkspace ws;
+  (void)solve_cg(a1, b, options, ws);
+  const CgResult r2 = solve_cg(a2, b, options, ws);
+  EXPECT_EQ(ws.stats().factorizations, 2u);
+  EXPECT_EQ(ws.stats().factorization_reuses, 0u);
+  EXPECT_EQ(r2.x, solve_cg(a2, b, options).x);
+  EXPECT_TRUE(r2.converged);
+}
+
 // ---------------------------------------------------------------------------
 // IR-drop solves of many sink maps on one assembled operator
 // ---------------------------------------------------------------------------
@@ -708,9 +762,9 @@ TEST(IrDropBatch, LoopModeIsBitIdenticalToRepeatedSolves) {
 TEST(IrDropBatch, AssembledMeshCachesTheHierarchy) {
   const auto assembled = assemble_mesh(Length{10e-3}, Length{10e-3}, 33, 33,
                                        2e-3);
-  EXPECT_FALSE(assembled->mg_symbolic.empty());
-  EXPECT_EQ(assembled->mg_symbolic.rows(), assembled->mesh.node_count());
-  EXPECT_GT(assembled->mg_symbolic.level_count(), 1u);
+  EXPECT_FALSE(assembled->pattern->mg_symbolic.empty());
+  EXPECT_EQ(assembled->pattern->mg_symbolic.rows(), assembled->mesh.node_count());
+  EXPECT_GT(assembled->pattern->mg_symbolic.level_count(), 1u);
 }
 
 }  // namespace
