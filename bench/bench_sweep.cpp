@@ -1,22 +1,23 @@
-// Sweep-engine bench: the batch-first evaluation path (core/batch.hpp)
-// against the point-at-a-time scalar loop, on the default evaluation grid
-// plus stage-2-dropout variants of the two-stage points (the canonical
-// same-operator case: identical stamped mesh, sink scaling only).
+// Sweep-engine bench: the sweep, which shares solves among its points
+// through one SolveMemo per run, against a loop of lone evaluations, on
+// the default evaluation grid plus stage-2-dropout variants of the
+// two-stage points (the canonical same-operator case: identical stamped
+// mesh, sink scaling only).
 //
-// Two configurations of the same point list:
-//   scalar  SweepConfig::batch = false — the point-at-a-time loop, the
-//           bit-identity reference
-//   batch   the default — grouped and deduplicated, one solve per
-//           distinct sink vector
+// Two evaluations of the same point list, both on 4 threads with one
+// shared mesh cache:
+//   scalar  a loop of lone evaluate_with_exclusion calls, one solve per
+//           point — the bit-identity reference
+//   batch   SweepRunner — one solve per distinct solve request
 //
 // Modes:
 //   (default)  human-readable comparison table
 //   --json     one JSON document through benchio::JsonReport (per-mode
-//              wall clock, batch accounting, batch-vs-scalar speedup)
-//   --check    regression guard (exit 1 on violation): the batch sweep
-//              must group points and solve distinct sink vectors through
-//              its groups (batch accounting nonzero), and must reproduce
-//              the scalar loop bit for bit
+//              wall clock, shared-solve accounting, batch-vs-scalar
+//              speedup)
+//   --check    regression guard (exit 1 on violation): the sweep must
+//              share solves among same-operator points (accounting
+//              nonzero), and must reproduce the lone loop bit for bit
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "vpd/core/spec.hpp"
 #include "vpd/io/schema.hpp"
 #include "vpd/sweep/sweep.hpp"
+#include "vpd/sweep/thread_pool.hpp"
 
 namespace {
 
@@ -40,7 +42,7 @@ using namespace vpd;
 /// intermediate-rail current while the stage-1 deployment is sized at
 /// design time, so every variant shares its nominal point's operator.
 /// The survivors re-split the load uniformly, which makes all N-1
-/// dropouts share ONE right-hand side (the batch engine solves it once),
+/// dropouts share ONE right-hand side (the sweep solves it once),
 /// while the N-2 variant's different survivor count adds a genuinely
 /// distinct one. A finer mesh keeps the distribution solve a
 /// meaningful slice of each evaluation, so the dedup shows on the wall
@@ -73,29 +75,80 @@ std::vector<SweepPoint> bench_grid() {
   return points;
 }
 
+constexpr std::size_t kThreads = 4;
+
 struct ModeSample {
+  std::vector<ExplorationEntry> entries;
+  std::size_t cg_iterations{0};
+  /// The sweep's first run; empty (all accounting zero) for the loop.
   SweepReport report;
   double best_seconds{0.0};
 };
 
-ModeSample run_mode(const PowerDeliverySpec& spec,
-                    const std::vector<SweepPoint>& points, bool batch,
-                    int repetitions) {
-  SweepConfig config;
-  config.threads = 4;
-  config.batch = batch;
-  const SweepRunner runner(spec, config);
-  ModeSample sample;
+template <class Run>
+double best_of(int repetitions, Run run) {
+  double best = 0.0;
   for (int rep = 0; rep < repetitions; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    SweepReport report = runner.run(points);
+    run(rep);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    if (rep == 0 || seconds < sample.best_seconds)
-      sample.best_seconds = seconds;
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best;
+}
+
+std::size_t cg_iterations_of(const ExplorationEntry& entry) {
+  if (entry.evaluation) return entry.evaluation->cg_iterations;
+  if (entry.extrapolated) return entry.extrapolated->cg_iterations;
+  return 0;
+}
+
+ModeSample run_sweep(const PowerDeliverySpec& spec,
+                     const std::vector<SweepPoint>& points,
+                     int repetitions) {
+  SweepConfig config;
+  config.threads = kThreads;
+  const SweepRunner runner(spec, config);
+  ModeSample sample;
+  sample.best_seconds = best_of(repetitions, [&](int rep) {
+    SweepReport report = runner.run(points);
     if (rep == 0) sample.report = std::move(report);
+  });
+  for (const SweepOutcome& o : sample.report.outcomes) {
+    sample.entries.push_back(o.entry);
+  }
+  sample.cg_iterations = sample.report.total_cg_iterations();
+  return sample;
+}
+
+/// Lone evaluate_with_exclusion per point (no solve memo) on a pool of
+/// the sweep's size, with the same kind of shared mesh cache, so the
+/// wall-clock difference is the solve sharing alone.
+ModeSample run_lone_loop(const PowerDeliverySpec& spec,
+                         const std::vector<SweepPoint>& points,
+                         int repetitions) {
+  ModeSample sample;
+  sample.best_seconds = best_of(repetitions, [&](int) {
+    MeshSolveCache cache;
+    std::vector<ExplorationEntry> entries(points.size());
+    ThreadPool pool(kThreads);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      pool.submit([&, i] {
+        EvaluationOptions options = points[i].options;
+        options.mesh_cache = &cache;
+        entries[i] = evaluate_with_exclusion(spec, points[i].architecture,
+                                             points[i].topology,
+                                             points[i].tech, options);
+      });
+    }
+    pool.wait_idle();
+    sample.entries = std::move(entries);
+  });
+  for (const ExplorationEntry& entry : sample.entries) {
+    sample.cg_iterations += cg_iterations_of(entry);
   }
   return sample;
 }
@@ -130,25 +183,22 @@ int main(int argc, char** argv) {
   const PowerDeliverySpec spec = paper_system();
   const std::vector<SweepPoint> points = bench_grid();
 
-  const ModeSample scalar =
-      run_mode(spec, points, /*batch=*/false, repetitions);
-  const ModeSample batch =
-      run_mode(spec, points, /*batch=*/true, repetitions);
+  const ModeSample scalar = run_lone_loop(spec, points, repetitions);
+  const ModeSample batch = run_sweep(spec, points, repetitions);
 
   // --- Guards ---------------------------------------------------------------
-  // The batch sweep must reproduce the scalar loop bit for bit: the full
-  // wire dump of every entry, not a tolerance comparison.
+  // The sweep must reproduce the lone loop bit for bit: the full wire
+  // dump of every entry, not a tolerance comparison.
   bool bit_identical = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (entry_dump(batch.report.outcomes[i].entry) !=
-        entry_dump(scalar.report.outcomes[i].entry)) {
+    if (entry_dump(batch.entries[i]) != entry_dump(scalar.entries[i])) {
       bit_identical = false;
-      std::fprintf(stderr, "bench_sweep: batched entry differs from the "
-                           "scalar loop at %s\n",
+      std::fprintf(stderr, "bench_sweep: sweep entry differs from the "
+                           "lone loop at %s\n",
                    points[i].label.c_str());
     }
   }
-  // The batch sweep must actually group points and solve through groups.
+  // The sweep must actually share solves among same-operator points.
   const bool groups_engaged = batch.report.batch.groups > 0 &&
                               batch.report.batch.grouped_points > 0 &&
                               batch.report.batch.panel_columns > 0;
@@ -161,7 +211,7 @@ int main(int argc, char** argv) {
     io::Value row = io::Value::object();
     row.set("mode", name);
     row.set("wall_seconds", sample.best_seconds);
-    row.set("cg_iterations", sample.report.total_cg_iterations());
+    row.set("cg_iterations", sample.cg_iterations);
     row.set("batch_groups", sample.report.batch.groups);
     row.set("grouped_points", sample.report.batch.grouped_points);
     row.set("panel_columns", sample.report.batch.panel_columns);
@@ -191,21 +241,21 @@ int main(int argc, char** argv) {
                    "Grouped", "Panel cols", "Deduped"});
   const auto add_row = [&](const char* name, const ModeSample& sample) {
     table.add_row({name, format_ms(sample.best_seconds),
-                   std::to_string(sample.report.total_cg_iterations()),
+                   std::to_string(sample.cg_iterations),
                    std::to_string(sample.report.batch.groups),
                    std::to_string(sample.report.batch.grouped_points),
                    std::to_string(sample.report.batch.panel_columns),
                    std::to_string(sample.report.batch.deduped_solves)});
   };
-  std::printf("=== Batch-first sweep vs the scalar loop (%zu points, "
-              "4 threads) ===\n\n",
-              points.size());
+  std::printf("=== Shared-solve sweep vs lone evaluations (%zu points, "
+              "%zu threads) ===\n\n",
+              points.size(), kThreads);
   add_row("scalar", scalar);
   add_row("batch", batch);
   std::cout << table << '\n';
   std::printf("Batch-vs-scalar wall speedup: %.2fx\n", batch_speedup);
   if (check) {
-    std::printf("\nGuard: the batch sweep %s the scalar loop bit for bit; "
+    std::printf("\nGuard: the sweep %s the lone loop bit for bit; "
                 "groups %s.\n",
                 bit_identical ? "reproduces" : "DIVERGES FROM",
                 groups_engaged ? "engaged" : "DID NOT ENGAGE");

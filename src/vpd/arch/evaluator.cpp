@@ -126,12 +126,7 @@ DistributionResult solve_distribution(const PowerDeliverySpec& spec,
   // numerically identical, and a perturbed operator can never alias the
   // nominal cache entry (the key carries the perturbation digest).
   std::shared_ptr<const AssembledMesh> assembled;
-  if (options.solve_hook != nullptr) {
-    // Replay path: reuse the probe-time assembly so a replayed evaluation
-    // touches the mesh cache exactly once per point.
-    assembled = options.solve_hook->assembled_mesh();
-  }
-  if (assembled == nullptr) {
+  {
     const obs::StageTimer mesh_timer(obs::Stage::kMesh);
     assembled =
         options.mesh_cache
@@ -185,12 +180,10 @@ DistributionResult solve_distribution(const PowerDeliverySpec& spec,
   solve_options.preconditioner = resolved_irdrop_preconditioner(options);
   solve_options.trace = options.trace;
   if (options.cg_warm_start) solve_options.warm_start_voltage = rail.value;
-  IrDropResult ir;
-  if (options.solve_hook == nullptr ||
-      !options.solve_hook->solve(assembled, legs, sinks, solve_options,
-                                 ir)) {
-    ir = solve_irdrop(*assembled, legs, sinks, solve_options);
-  }
+  const IrDropResult ir =
+      options.solve_memo != nullptr
+          ? options.solve_memo->solve(assembled, legs, sinks, solve_options)
+          : solve_irdrop(*assembled, legs, sinks, solve_options);
 
   DistributionResult result;
   result.grid_loss = ir.grid_loss;

@@ -16,37 +16,9 @@
 #include "vpd/package/irdrop.hpp"
 #include "vpd/package/mesh.hpp"
 #include "vpd/package/mesh_cache.hpp"
+#include "vpd/package/solve_memo.hpp"
 
 namespace vpd {
-
-/// Interception point for the distribution IR-drop solve, consulted once
-/// per solve with the fully assembled request (operator, VR legs, sink
-/// vector, resolved solve options). The batch evaluation engine
-/// (core/batch.hpp) uses it twice: a probe hook records the request and
-/// aborts the evaluation, and a replay hook injects a result solved once
-/// for every group member that drew the same sink vector. Process-local
-/// plumbing like mesh_cache and trace: never on the wire, ignored by the
-/// io schema.
-class DistributionSolveHook {
- public:
-  virtual ~DistributionSolveHook() = default;
-
-  /// Pre-assembled operator to use for this evaluation, or nullptr to
-  /// assemble (or fetch from the mesh cache) as usual. Replay injects the
-  /// probe-time assembly so a replayed evaluation does not touch the mesh
-  /// cache a second time.
-  virtual std::shared_ptr<const AssembledMesh> assembled_mesh() {
-    return nullptr;
-  }
-
-  /// Substitute the solve: return true with `result` filled to skip the
-  /// scalar solve, false to run it as usual. May throw to abort the
-  /// evaluation (the probe hook throws after recording the request).
-  virtual bool solve(const std::shared_ptr<const AssembledMesh>& assembled,
-                     const std::vector<VrAttachment>& legs,
-                     const Vector& sinks, const IrDropOptions& options,
-                     IrDropResult& result) = 0;
-};
 
 /// Builds the per-node sink currents for a distribution solve; the total
 /// must equal `total` (checked to 0.1%). Defaults to a uniform draw.
@@ -124,10 +96,12 @@ struct EvaluationOptions {
   /// Process-local observability plumbing (like mesh_cache): never on the
   /// wire, never read by the numerics.
   obs::TraceContext trace{};
-  /// Distribution-solve interception for batched evaluation (see
-  /// core/batch.hpp). Process-local plumbing like mesh_cache and trace:
-  /// never on the wire, ignored by the io schema. nullptr = scalar solve.
-  DistributionSolveHook* solve_hook{nullptr};
+  /// Run-scoped memo the distribution solve goes through; nullptr =
+  /// solve_irdrop directly. A memo shares one solve among every
+  /// evaluation that requests the same one, bit-identically (see
+  /// package/solve_memo.hpp). Process-local plumbing like mesh_cache and
+  /// trace: never on the wire, ignored by the io schema.
+  SolveMemo* solve_memo{nullptr};
 };
 
 /// Mesh size (nodes per die edge) at which the automatic preconditioner

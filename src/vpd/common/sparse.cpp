@@ -66,9 +66,12 @@ CsrMatrix::CsrMatrix(const TripletList& triplets)
     }
   }
 
+  // Sort each row, then merge its duplicates in place: the merged entries
+  // compact to the front of the bucket arrays (the write cursor never
+  // passes the row being read), and the compiled arrays copy exactly the
+  // merged count, with no slack for the duplicates.
   row_offsets_.assign(rows_ + 1, 0);
-  col_indices_.reserve(entries.size());
-  values_.reserve(entries.size());
+  std::size_t merged = 0;
   for (std::size_t r = 0; r < rows_; ++r) {
     const std::size_t begin = bucket_start[r];
     const std::size_t end = bucket_start[r + 1];
@@ -94,13 +97,14 @@ CsrMatrix::CsrMatrix(const TripletList& triplets)
         sum += bucket_values[i];
         ++i;
       }
-      col_indices_.push_back(col);
-      values_.push_back(sum);
-      ++row_offsets_[r + 1];
+      bucket_cols[merged] = col;
+      bucket_values[merged] = sum;
+      ++merged;
     }
+    row_offsets_[r + 1] = merged;
   }
-  std::partial_sum(row_offsets_.begin(), row_offsets_.end(),
-                   row_offsets_.begin());
+  col_indices_.assign(bucket_cols.begin(), bucket_cols.begin() + merged);
+  values_.assign(bucket_values.begin(), bucket_values.begin() + merged);
   pattern_digest_ = pattern_hash(rows_, cols_, row_offsets_, col_indices_);
 }
 

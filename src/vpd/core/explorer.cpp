@@ -68,9 +68,8 @@ ExplorationEntry ArchitectureExplorer::evaluate(
 }
 
 ExplorationResult ArchitectureExplorer::explore(DeviceTechnology tech) const {
-  // Serial exploration rides the same batch engine as the parallel sweep
-  // (core/batch.hpp), so both share one code path end to end: same
-  // grouping, same dedup, same results for the same point list.
+  // Serial exploration shares solves through one memo like the parallel
+  // sweep (core/batch.hpp): same results for the same point list.
   std::vector<EvaluationPoint> points;
   points.push_back(EvaluationPoint{ArchitectureKind::kA0_PcbConversion,
                                    std::nullopt, tech, options_});

@@ -87,8 +87,7 @@ struct FaultCampaignReport {
   /// scenarios). Solves/iterations are deterministic; the
   /// factorization/reuse split is scheduling-dependent (see SweepReport).
   SolverCounters solver;
-  /// Batch-engine accounting summed over the campaign's sweeps (all zero
-  /// when the sweep runs with batch=false).
+  /// Shared-solve accounting summed over the campaign's two sweeps.
   BatchStats batch;
 
   std::size_t scenario_count() const { return outcomes.size(); }

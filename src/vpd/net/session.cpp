@@ -217,7 +217,7 @@ io::Value LineSession::resolve(Pending& item) {
     }
     case Pending::Kind::kEvaluateBatch: {
       // Synchronous at its output turn, like transient and optimize: the
-      // batch engine runs on this thread, and a later "metrics" line sees
+      // batch evaluates on this thread, and a later "metrics" line sees
       // the whole batch's serve.batch.* accounting.
       const std::vector<serve::ServiceResponse> results =
           service_.evaluate_batch(item.batch);

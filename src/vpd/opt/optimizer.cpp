@@ -344,12 +344,10 @@ OptimizeReport DesignOptimizer::run() const {
   // once no matter which generation rediscovers it.
   MeshSolveCache private_cache;
   SweepConfig sweep_config = cfg.sweep;
-  if (sweep_config.use_mesh_cache && sweep_config.cache == nullptr) {
+  if (sweep_config.cache == nullptr) {
     sweep_config.cache = &private_cache;
   }
-  const MeshSolveCache::Stats cache_before =
-      sweep_config.use_mesh_cache ? sweep_config.cache->stats()
-                                  : MeshSolveCache::Stats{};
+  const MeshSolveCache::Stats cache_before = sweep_config.cache->stats();
   const SolverCounters solver_before = solver_counters();
   SweepRunner runner(spec_, sweep_config);
 
@@ -668,11 +666,9 @@ OptimizeReport DesignOptimizer::run() const {
   report.epsilon = std::move(eps);
   report.reference = std::move(reference);
   report.hypervolume = hypervolume(front_objectives, report.reference);
-  if (sweep_config.use_mesh_cache) {
-    const MeshSolveCache::Stats after = sweep_config.cache->stats();
-    report.cache_stats.hits = after.hits - cache_before.hits;
-    report.cache_stats.misses = after.misses - cache_before.misses;
-  }
+  const MeshSolveCache::Stats cache_after = sweep_config.cache->stats();
+  report.cache_stats.hits = cache_after.hits - cache_before.hits;
+  report.cache_stats.misses = cache_after.misses - cache_before.misses;
   report.solver = solver_counters() - solver_before;
   report.wall_seconds = seconds_since(run_start);
   run_span.set_arg("evaluations", static_cast<double>(report.evaluations));

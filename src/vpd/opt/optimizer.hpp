@@ -172,8 +172,8 @@ struct OptimizeReport {
   /// everything else is deterministic).
   MeshSolveCache::Stats cache_stats;
   SolverCounters solver;
-  /// Batch-engine accounting summed over every generation's sweep and
-  /// every elite fault campaign (all zero with sweep.batch=false).
+  /// Shared-solve accounting summed over every generation's sweep and
+  /// every elite fault campaign.
   BatchStats batch;
 
   std::size_t front_size() const { return front.size(); }

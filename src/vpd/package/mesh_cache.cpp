@@ -1,6 +1,5 @@
 #include "vpd/package/mesh_cache.hpp"
 
-#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <tuple>
@@ -86,32 +85,6 @@ bool MeshSolveCache::Key::operator<(const Key& o) const {
          std::tie(o.width, o.height, o.nx, o.ny, o.sheet,
                   o.perturbation_digest);
 }
-
-template <class T>
-struct MeshSolveCache::Slot {
-  std::mutex mutex;
-  std::condition_variable ready;
-  bool done{false};
-  std::shared_ptr<const T> value;
-  std::exception_ptr error;
-
-  void finish(std::shared_ptr<const T> v, std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      value = std::move(v);
-      error = std::move(e);
-      done = true;
-    }
-    ready.notify_all();
-  }
-
-  std::shared_ptr<const T> wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    ready.wait(lock, [this] { return done; });
-    if (error) std::rethrow_exception(error);
-    return value;
-  }
-};
 
 namespace {
 

@@ -26,6 +26,7 @@
 #include <utility>
 
 #include "vpd/common/multigrid.hpp"
+#include "vpd/common/once_slot.hpp"
 #include "vpd/obs/trace.hpp"
 #include "vpd/package/mesh.hpp"
 
@@ -114,9 +115,6 @@ class MeshSolveCache {
     bool operator<(const Key& o) const;
   };
   using Grid = std::pair<std::size_t, std::size_t>;  // (nx, ny)
-  /// One key's value, built once by its first requester (mesh_cache.cpp).
-  template <class T>
-  struct Slot;
 
   /// The grid's pattern bundle, built from `laplacian` on first use.
   std::shared_ptr<const MeshPattern> grid_pattern(const CsrMatrix& laplacian,
@@ -124,8 +122,8 @@ class MeshSolveCache {
                                                   std::size_t ny);
 
   mutable std::mutex mutex_;  // guards the maps and stats_ only
-  std::map<Key, std::shared_ptr<Slot<AssembledMesh>>> entries_;
-  std::map<Grid, std::shared_ptr<Slot<MeshPattern>>> patterns_;
+  std::map<Key, std::shared_ptr<OnceSlot<AssembledMesh>>> entries_;
+  std::map<Grid, std::shared_ptr<OnceSlot<MeshPattern>>> patterns_;
   Stats stats_;
 };
 

@@ -104,7 +104,7 @@ std::vector<ServiceResponse> EvaluationService::evaluate_batch(
   // Leaders evaluate; every later request with the same canonical key
   // shares the leader's published entry (equal keys describe
   // bit-identical evaluations). Invalid requests and result-cache hits
-  // resolve here and never reach the batch engine.
+  // resolve here and are never evaluated.
   std::vector<std::string> keys(requests.size());
   std::vector<char> resolved(requests.size(), 0);
   std::unordered_map<std::string, std::size_t> leader_by_key;
@@ -138,73 +138,33 @@ std::vector<ServiceResponse> EvaluationService::evaluate_batch(
     leaders.push_back(i);
   }
 
-  // The batch engine evaluates against one spec; partition the leaders by
-  // canonical spec (in input order) and run one batch per distinct spec.
-  std::vector<std::string> spec_keys;
-  std::vector<std::vector<std::size_t>> partitions;
+  // Leaders evaluate in input order against one memo: leaders that need
+  // the same distribution solve share it, whatever their spec.
+  SolveMemo memo;
   for (std::size_t index : leaders) {
-    const std::string spec_key =
-        io::dump(io::to_json(requests[index].spec));
-    std::size_t p = 0;
-    for (; p < spec_keys.size(); ++p) {
-      if (spec_keys[p] == spec_key) break;
-    }
-    if (p == spec_keys.size()) {
-      spec_keys.push_back(spec_key);
-      partitions.emplace_back();
-    }
-    partitions[p].push_back(index);
-  }
-
-  BatchStats stats;
-  for (const std::vector<std::size_t>& partition : partitions) {
-    std::vector<EvaluationPoint> points;
-    points.reserve(partition.size());
-    for (std::size_t index : partition) {
-      EvaluationPoint p{requests[index].architecture,
-                        requests[index].topology, requests[index].tech,
-                        requests[index].options};
-      p.options.mesh_cache = &mesh_cache_;
-      points.push_back(std::move(p));
-    }
+    const io::EvaluationRequest& request = requests[index];
     try {
-      EvaluationBatch batch(requests[partition.front()].spec,
-                            std::move(points));
-      batch.run();
-      stats += batch.stats();
-      for (std::size_t k = 0; k < partition.size(); ++k) {
-        const std::size_t index = partition[k];
-        if (std::exception_ptr err = batch.error(k)) {
-          try {
-            std::rethrow_exception(err);
-          } catch (const std::exception& e) {
-            responses[index].status = ResponseStatus::kError;
-            responses[index].error = e.what();
-          } catch (...) {
-            responses[index].status = ResponseStatus::kError;
-            responses[index].error = "unknown evaluation failure";
-          }
-          continue;
-        }
-        auto entry = std::make_shared<ExplorationEntry>(
-            std::move(batch.entry(k)));
-        responses[index].status = entry->excluded()
-                                      ? ResponseStatus::kExcluded
-                                      : ResponseStatus::kOk;
-        responses[index].entry = std::move(entry);
-        std::lock_guard<std::mutex> lock(mutex_);
-        cache_insert(keys[index], responses[index].entry);
-      }
+      EvaluationOptions options = request.options;
+      options.mesh_cache = &mesh_cache_;
+      options.solve_memo = &memo;
+      auto entry = std::make_shared<ExplorationEntry>(evaluate_with_exclusion(
+          request.spec, request.architecture, request.topology, request.tech,
+          options));
+      responses[index].status = entry->excluded() ? ResponseStatus::kExcluded
+                                                  : ResponseStatus::kOk;
+      responses[index].entry = std::move(entry);
+      std::lock_guard<std::mutex> lock(mutex_);
+      cache_insert(keys[index], responses[index].entry);
     } catch (const std::exception& e) {
-      // Construction-time failure (e.g. an invalid spec) fails the whole
-      // partition: no point evaluated.
-      for (std::size_t index : partition) {
-        responses[index].status = ResponseStatus::kError;
-        responses[index].error = e.what();
-      }
+      responses[index].status = ResponseStatus::kError;
+      responses[index].error = e.what();
+    } catch (...) {
+      responses[index].status = ResponseStatus::kError;
+      responses[index].error = "unknown evaluation failure";
     }
-    for (std::size_t index : partition) resolved[index] = 1;
+    resolved[index] = 1;
   }
+  const BatchStats stats = BatchStats::of(memo, leaders.size());
 
   // In-batch duplicates share their leader's outcome (entry pointers are
   // immutable once published, exactly like coalesced submits).
@@ -249,7 +209,7 @@ TransientServiceResponse EvaluationService::run_transient(
     // Campaign DC sweeps share the service's mesh cache, so repeated
     // campaigns over one geometry reuse assembled operators like the
     // point-evaluation path does.
-    if (config.sweep.use_mesh_cache && config.sweep.cache == nullptr) {
+    if (config.sweep.cache == nullptr) {
       config.sweep.cache = &mesh_cache_;
     }
     const DroopCampaignRunner runner(request.spec, config);
@@ -297,7 +257,7 @@ OptimizeServiceResponse EvaluationService::run_optimize(
     // Optimizer evaluation batches and survivability campaigns share the
     // service's mesh cache, so repeated runs over one geometry family
     // reuse assembled operators like the point-evaluation path does.
-    if (config.sweep.use_mesh_cache && config.sweep.cache == nullptr) {
+    if (config.sweep.cache == nullptr) {
       config.sweep.cache = &mesh_cache_;
     }
     const opt::DesignOptimizer optimizer(request.spec, request.space,

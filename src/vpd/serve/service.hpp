@@ -191,10 +191,10 @@ class EvaluationService {
   /// Batch-first evaluation (the {"cmd":"evaluate_batch"} verb): resolves
   /// every request and returns responses in input order. Result-cache
   /// hits and in-batch duplicates (equal canonical keys) share one entry;
-  /// the rest route through the batch evaluation engine (core/batch.hpp)
-  /// synchronously on the caller's thread — same-operator requests share
-  /// one solve per distinct sink vector — grouped per distinct spec,
-  /// against the service's shared mesh cache. Each response is
+  /// the rest evaluate synchronously on the caller's thread, in input
+  /// order, against the service's shared mesh cache and one SolveMemo per
+  /// call, so requests that need the same distribution solve share it.
+  /// Errors are reported per request. Each response is
   /// bit-identical to a lone evaluate() of its request. Not queued or
   /// coalesced with submit() traffic; records serve.batch.* instruments.
   std::vector<ServiceResponse> evaluate_batch(

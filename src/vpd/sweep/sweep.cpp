@@ -61,122 +61,70 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
 
   // Whichever cache the run uses lives at least as long as the workers.
   MeshSolveCache private_cache;
-  MeshSolveCache* cache = nullptr;
-  if (config_.use_mesh_cache) {
-    cache = config_.cache != nullptr ? config_.cache : &private_cache;
-  }
-  const MeshSolveCache::Stats stats_before =
-      cache != nullptr ? cache->stats() : MeshSolveCache::Stats{};
+  MeshSolveCache* cache =
+      config_.cache != nullptr ? config_.cache : &private_cache;
+  SolveMemo memo;
+  const MeshSolveCache::Stats stats_before = cache->stats();
   const SolverCounters solver_before = solver_counters();
 
   SweepReport report;
   report.outcomes.resize(points.size());
+  std::vector<std::exception_ptr> errors(points.size());
 
-  const auto harvest_cg = [](SweepOutcome& out) {
-    const ArchitectureEvaluation* eval =
-        out.entry.evaluation ? &*out.entry.evaluation
-                             : (out.entry.extrapolated
-                                    ? &*out.entry.extrapolated
-                                    : nullptr);
-    if (eval != nullptr) out.stats.cg_iterations = eval->cg_iterations;
+  // Each task owns exactly one pre-assigned slot, so no result
+  // synchronization is needed beyond the pool's quiescence barrier; slot
+  // order (== input order) is independent of completion order.
+  const auto evaluate_point = [&](std::size_t index) {
+    const SweepPoint& point = points[index];
+    SweepOutcome& out = report.outcomes[index];
+    out.point = point;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      EvaluationOptions options = point.options;
+      options.mesh_cache = cache;
+      options.solve_memo = &memo;
+      out.entry = evaluate_with_exclusion(spec_, point.architecture,
+                                          point.topology, point.tech,
+                                          options);
+      const ArchitectureEvaluation* eval =
+          out.entry.evaluation ? &*out.entry.evaluation
+                               : (out.entry.extrapolated
+                                      ? &*out.entry.extrapolated
+                                      : nullptr);
+      if (eval != nullptr) out.stats.cg_iterations = eval->cg_iterations;
+    } catch (...) {
+      errors[index] = std::current_exception();
+    }
+    out.stats.wall_seconds = seconds_since(start);
   };
 
   std::size_t threads = config_.threads;
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-
-  if (config_.batch) {
-    std::vector<EvaluationPoint> batch_points;
-    batch_points.reserve(points.size());
-    for (const SweepPoint& point : points) {
-      EvaluationPoint p{point.architecture, point.topology, point.tech,
-                        point.options};
-      p.options.mesh_cache = cache;
-      batch_points.push_back(std::move(p));
-    }
-    EvaluationBatch batch(spec_, std::move(batch_points));
-    if (threads == 1 || points.size() <= 1) {
-      // Serial reference path: same phases, calling thread.
-      batch.run();
-      report.threads_used = 1;
-    } else {
-      // The phases parallelize without changing results: probe and
-      // execute tasks own disjoint slots, and the single-threaded plan()
-      // groups in input order regardless of probe completion order.
-      ThreadPool pool(threads);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        pool.submit([&batch, i] { batch.probe(i); });
-      }
-      pool.wait_idle();
-      batch.plan();
-      for (std::size_t u = 0; u < batch.unit_count(); ++u) {
-        pool.submit([&batch, u] { batch.execute(u); });
-      }
-      pool.wait_idle();
-      report.threads_used = pool.thread_count();
-    }
-    // Surface the first failure in input order (deterministic, unlike
-    // completion order).
-    batch.rethrow_first_error();
-    report.batch = batch.stats();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      SweepOutcome& out = report.outcomes[i];
-      out.point = points[i];
-      out.entry = std::move(batch.entry(i));
-      out.stats.wall_seconds = batch.wall_seconds(i);
-      harvest_cg(out);
-    }
+  if (threads == 1 || points.size() <= 1) {
+    // Serial reference path: same evaluation routine, calling thread.
+    for (std::size_t i = 0; i < points.size(); ++i) evaluate_point(i);
+    report.threads_used = 1;
   } else {
-    std::vector<std::exception_ptr> errors(points.size());
-
-    // Pre-batch scalar loop, kept as the bit-identity reference. Each
-    // task owns exactly one pre-assigned slot, so no result
-    // synchronization is needed beyond the pool's quiescence barrier;
-    // slot order (== input order) is independent of completion order.
-    const auto evaluate_point = [&](std::size_t index) {
-      const SweepPoint& point = points[index];
-      SweepOutcome& out = report.outcomes[index];
-      out.point = point;
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        EvaluationOptions options = point.options;
-        options.mesh_cache = cache;
-        out.entry = evaluate_with_exclusion(spec_, point.architecture,
-                                            point.topology, point.tech,
-                                            options);
-        harvest_cg(out);
-      } catch (...) {
-        errors[index] = std::current_exception();
-      }
-      out.stats.wall_seconds = seconds_since(start);
-    };
-
-    if (threads == 1 || points.size() <= 1) {
-      // Serial reference path: same evaluation routine, calling thread.
-      for (std::size_t i = 0; i < points.size(); ++i) evaluate_point(i);
-      report.threads_used = 1;
-    } else {
-      ThreadPool pool(threads);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        pool.submit([&evaluate_point, i] { evaluate_point(i); });
-      }
-      pool.wait_idle();
-      report.threads_used = pool.thread_count();
+    ThreadPool pool(threads);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      pool.submit([&evaluate_point, i] { evaluate_point(i); });
     }
-
-    // Surface the first failure in input order (deterministic, unlike
-    // completion order).
-    for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+    pool.wait_idle();
+    report.threads_used = pool.thread_count();
   }
 
-  if (cache != nullptr) {
-    const MeshSolveCache::Stats after = cache->stats();
-    report.cache_stats.hits = after.hits - stats_before.hits;
-    report.cache_stats.misses = after.misses - stats_before.misses;
+  // Surface the first failure in input order (deterministic, unlike
+  // completion order).
+  for (std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
+
+  report.batch = BatchStats::of(memo, points.size());
+  const MeshSolveCache::Stats after = cache->stats();
+  report.cache_stats.hits = after.hits - stats_before.hits;
+  report.cache_stats.misses = after.misses - stats_before.misses;
   report.solver = solver_counters() - solver_before;
   report.wall_seconds = seconds_since(run_start);
   return report;

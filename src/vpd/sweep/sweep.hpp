@@ -1,21 +1,20 @@
 // Design-space sweep engine: enumerates architecture x topology x device
 // technology x evaluation-option grids and evaluates every point on a
 // worker pool, sharing one MeshSolveCache so each distinct mesh geometry
-// is assembled exactly once per sweep. Points ride the batch evaluation
-// engine (core/batch.hpp) by default: same-operator points — sink-map
-// variants, fault load scalings — share one solve per distinct sink
-// vector instead of one solve each.
+// is assembled exactly once per sweep, and one SolveMemo per run() so
+// points that request the same distribution solve — sink-map variants,
+// fault load scalings — share it instead of solving it again.
 //
 // Determinism contract: results come back in input order, and a parallel
 // run is bit-identical to a serial run of the same points. This holds
-// because probing and replay run the same pure routine
+// because every point runs the same pure routine
 // (evaluate_with_exclusion) with no cross-point mutable state — the CG
 // warm start is a flat rail-voltage vector derived from the point itself,
 // cached mesh operators are immutable and numerically identical to a
-// per-call assembly, and batch grouping happens single-threaded in input
-// order, independent of probe completion order. Only SweepStats timing
-// fields vary run to run. Batched results are additionally bit-identical
-// to the batch=false point-at-a-time loop.
+// per-call assembly, and a memo answer is the result of the very solve
+// the point would run. Only SweepStats timing fields vary run to run.
+// Every entry is also bit-identical to a lone evaluate_with_exclusion of
+// its point without cache or memo.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +31,9 @@
 
 namespace vpd {
 
-/// One evaluation point. `options.mesh_cache` is overwritten by the
-/// runner (the sweep owns the cache); every other field is honoured.
+/// One evaluation point. `options.mesh_cache` and `options.solve_memo`
+/// are overwritten by the runner (the sweep owns both); every other
+/// field is honoured.
 struct SweepPoint {
   ArchitectureKind architecture{};
   std::optional<TopologyKind> topology;  // nullopt only for A0
@@ -60,18 +60,10 @@ struct SweepConfig {
   /// value of 1 runs the points inline on the calling thread (the serial
   /// reference path — bit-identical to any parallel run).
   std::size_t threads{0};
-  /// Share assembled mesh operators across points. Off reproduces the
-  /// assemble-per-call behaviour (still bit-identical, just slower).
-  bool use_mesh_cache{true};
   /// External cache to share across multiple run() calls; nullptr makes
-  /// the runner use one private cache per run(). Ignored when
-  /// use_mesh_cache is false. Must outlive the runner's run() calls.
+  /// the runner use one private cache per run(). Must outlive the
+  /// runner's run() calls.
   MeshSolveCache* cache{nullptr};
-  /// Route the points through the batch evaluation engine (core/batch.hpp):
-  /// same-operator points share one solve per distinct sink vector
-  /// instead of one solve each. false runs the point-at-a-time loop,
-  /// with bit-identical results.
-  bool batch{true};
 };
 
 struct SweepReport {
@@ -88,8 +80,8 @@ struct SweepReport {
   /// the factorization/reuse split depends on how points land on the
   /// thread-local solver workspaces, i.e. on scheduling.
   SolverCounters solver;
-  /// Batch-engine accounting (all zero when SweepConfig::batch is false).
-  /// Deterministic in the point list alone.
+  /// Shared-solve accounting of the run's SolveMemo. Deterministic in the
+  /// point list alone.
   BatchStats batch;
 
   std::size_t total_cg_iterations() const;

@@ -453,7 +453,7 @@ DroopCampaignReport DroopCampaignRunner::run(
 
   MeshSolveCache campaign_cache;
   SweepConfig sweep_config = config_.sweep;
-  if (sweep_config.use_mesh_cache && sweep_config.cache == nullptr) {
+  if (sweep_config.cache == nullptr) {
     sweep_config.cache = &campaign_cache;
   }
   const SweepRunner runner(spec_, sweep_config);

@@ -1,14 +1,16 @@
-// Batch-first evaluation engine (core/batch.hpp): same-operator grouping
-// and sink-vector deduplication, the bit-identity contract (every batched
-// entry equals a lone evaluate_with_exclusion of the same point, on the
-// engine itself and through the sweep, fault-campaign, optimizer,
-// explorer and evaluate_batch paths), per-point error transport, and the
-// batch accounting those reports surface. Runs in its own ctest
-// executable labelled `batch` so the grouped paths join the sanitizer
-// matrix (ctest -L batch).
+// Shared solves through a run-scoped SolveMemo (core/batch.hpp,
+// package/solve_memo.hpp): same-operator accounting and sink-vector
+// deduplication, the bit-identity contract (every entry equals a lone
+// evaluate_with_exclusion of the same point without a memo, on the
+// sweep, fault-campaign, optimizer, explorer and evaluate_batch paths),
+// one evaluation per point, concurrent requesters of one solve, error
+// transport, and the accounting those reports surface. Runs in its own
+// ctest executable labelled `batch` so the shared paths join the
+// sanitizer matrix (ctest -L batch).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "vpd/fault/campaign.hpp"
 #include "vpd/io/schema.hpp"
 #include "vpd/obs/registry.hpp"
+#include "vpd/obs/trace.hpp"
 #include "vpd/opt/optimizer.hpp"
 #include "vpd/serve/service.hpp"
 #include "vpd/sweep/sweep.hpp"
@@ -82,7 +85,7 @@ void expect_identical(const ExplorationEntry& a, const ExplorationEntry& b,
 }
 
 // ---------------------------------------------------------------------------
-// EvaluationBatch: grouping, dedup, bit-identity, errors
+// evaluate_batch_with_exclusion: accounting, dedup, bit-identity, errors
 // ---------------------------------------------------------------------------
 
 TEST(EvaluationBatch, GroupsSameOperatorPointsAndDedupsIdenticalSinks) {
@@ -167,28 +170,53 @@ TEST(EvaluationBatch, BlockPanelsCertifyEachColumn) {
 }
 
 TEST(EvaluationBatch, ErrorsSurfacePerPointFirstInInputOrder) {
-  EvaluationPoint bad = a3_point();
-  bad.options.irdrop_relative_tolerance = -1.0;  // invalid configuration
+  EvaluationPoint bad_tolerance = a3_point();
+  bad_tolerance.options.irdrop_relative_tolerance = -1.0;  // invalid
+  EvaluationPoint no_topology = a3_point();
+  no_topology.topology.reset();  // a VPD architecture needs one
 
-  // Per-point API: the bad point's slot carries the error, the good
-  // points still group and evaluate.
-  std::vector<EvaluationPoint> points = {a3_point(), bad, a3_point({0})};
-  EvaluationBatch batch(paper_system(), points);
-  batch.run();
-  EXPECT_EQ(batch.error(0), nullptr);
-  EXPECT_NE(batch.error(1), nullptr);
-  EXPECT_EQ(batch.error(2), nullptr);
-  EXPECT_EQ(batch.stats().grouped_points, 2u);
-  EXPECT_FALSE(batch.entry(0).excluded());
-  EXPECT_THROW(batch.rethrow_first_error(), InvalidArgument);
+  // Both bad points throw InvalidArgument; the message tells which one
+  // surfaced. The first in input order wins on the serial batch and on
+  // a parallel sweep alike, whichever worker failed first.
+  const auto first_error = [](const auto& run) {
+    try {
+      run();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const bool tolerance_first : {true, false}) {
+    std::vector<EvaluationPoint> points = {a3_point(), a3_point({0})};
+    points.insert(points.begin() + 1,
+                  tolerance_first ? bad_tolerance : no_topology);
+    points.push_back(tolerance_first ? no_topology : bad_tolerance);
+    const std::string expected_word =
+        tolerance_first ? "tolerance" : "topology";
 
-  // One-call API: the first error in input order is rethrown.
-  EXPECT_THROW(evaluate_batch_with_exclusion(paper_system(), points),
-               InvalidArgument);
+    const std::string batch_error = first_error(
+        [&] { evaluate_batch_with_exclusion(paper_system(), points); });
+    EXPECT_NE(batch_error.find(expected_word), std::string::npos)
+        << batch_error;
+
+    std::vector<SweepPoint> sweep_points;
+    for (const EvaluationPoint& p : points) {
+      SweepPoint sp;
+      sp.architecture = p.architecture;
+      sp.topology = p.topology;
+      sp.options = p.options;
+      sweep_points.push_back(sp);
+    }
+    SweepConfig config;
+    config.threads = 4;
+    const std::string sweep_error = first_error(
+        [&] { SweepRunner(paper_system(), config).run(sweep_points); });
+    EXPECT_EQ(sweep_error, batch_error);
+  }
 }
 
 TEST(EvaluationBatch, ExplorerEntriesMatchLoneEvaluations) {
-  // ArchitectureExplorer::explore rides the batch engine; each entry must
+  // ArchitectureExplorer::explore shares solves through one memo; each must
   // equal a lone evaluation of its grid point.
   const ExplorationResult explored =
       ArchitectureExplorer(paper_system(), paper_options()).explore();
@@ -225,26 +253,96 @@ std::vector<SweepPoint> grid_with_fault_variants() {
   return points;
 }
 
+EvaluationPoint evaluation_point(const SweepPoint& p) {
+  return EvaluationPoint{p.architecture, p.topology, p.tech, p.options};
+}
+
 TEST(SweepBatch, LoopModeIsBitIdenticalToTheScalarLoop) {
   const std::vector<SweepPoint> points = grid_with_fault_variants();
-  SweepConfig loop;
-  loop.threads = 2;
-  SweepConfig scalar;
-  scalar.threads = 2;
-  scalar.batch = false;
-  const SweepReport with = SweepRunner(paper_system(), loop).run(points);
-  const SweepReport without = SweepRunner(paper_system(), scalar).run(points);
+  SweepConfig config;
+  config.threads = 2;
+  const SweepReport with = SweepRunner(paper_system(), config).run(points);
   ASSERT_EQ(with.outcomes.size(), points.size());
-  ASSERT_EQ(without.outcomes.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    expect_identical(with.outcomes[i].entry, without.outcomes[i].entry,
+    expect_identical(with.outcomes[i].entry,
+                     scalar_reference(evaluation_point(points[i])),
                      points[i].label);
   }
-  // The batched sweep groups distinct sink vectors; the scalar loop
-  // never touches the batch engine.
+  // The sweep shares solves among same-operator points.
   EXPECT_GT(with.batch.grouped_points, 0u);
   EXPECT_GT(with.batch.panel_columns, 0u);
-  EXPECT_EQ(without.batch.points, 0u);
+}
+
+TEST(SweepBatch, TracedSweepEvaluatesEachPointOnce) {
+  const std::vector<SweepPoint> points = grid_with_fault_variants();
+  SweepConfig config;
+  config.threads = 2;
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  const SweepReport report = SweepRunner(paper_system(), config).run(points);
+  obs::set_tracing_enabled(false);
+  ASSERT_EQ(obs::trace_events_dropped(), 0u);
+  std::istringstream lines(obs::trace_ndjson());
+  obs::clear_trace();
+  std::size_t evaluate_spans = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"name\":\"vpd.evaluate\"") != std::string::npos) {
+      ++evaluate_spans;
+    }
+  }
+  // One evaluator run per point, solving or not; shared solves happen
+  // inside that one run.
+  EXPECT_EQ(evaluate_spans, points.size());
+  EXPECT_GT(report.batch.deduped_solves + report.batch.panel_columns, 0u);
+}
+
+TEST(SweepBatch, ConcurrentRequestersOfOneSolveShareIt) {
+  // Eight points request one solve; two more points request two other
+  // ones (a scaled sink vector on the same operator, and another
+  // operator). Four workers race for the shared key.
+  std::vector<SweepPoint> points;
+  for (int i = 0; i < 8; ++i) {
+    SweepPoint p;
+    p.architecture = ArchitectureKind::kA3_TwoStage12V;
+    p.topology = TopologyKind::kDsch;
+    p.options = paper_options();
+    points.push_back(p);
+  }
+  {
+    SweepPoint p = points.front();
+    p.options.faults.dropped_stage2 = {0, 1};
+    points.insert(points.begin() + 3, p);
+  }
+  {
+    SweepPoint p = points.front();
+    p.architecture = ArchitectureKind::kA1_InterposerPeriphery;
+    points.insert(points.begin() + 6, p);
+  }
+  constexpr std::size_t kDistinctSolves = 3;
+
+  SweepConfig parallel;
+  parallel.threads = 4;
+  const SweepReport report =
+      SweepRunner(paper_system(), parallel).run(points);
+  EXPECT_EQ(report.solver.cg_solves, kDistinctSolves);
+
+  SweepConfig serial;
+  serial.threads = 1;
+  const SweepReport reference =
+      SweepRunner(paper_system(), serial).run(points);
+  EXPECT_EQ(report.batch.points, reference.batch.points);
+  EXPECT_EQ(report.batch.groups, reference.batch.groups);
+  EXPECT_EQ(report.batch.grouped_points, reference.batch.grouped_points);
+  EXPECT_EQ(report.batch.scalar_points, reference.batch.scalar_points);
+  EXPECT_EQ(report.batch.panel_columns, reference.batch.panel_columns);
+  EXPECT_EQ(report.batch.deduped_solves, reference.batch.deduped_solves);
+  EXPECT_EQ(report.batch.deduped_solves, points.size() - kDistinctSolves);
+
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    expect_identical(report.outcomes[i].entry,
+                     scalar_reference(evaluation_point(points[i])),
+                     "point " + std::to_string(i));
+  }
 }
 
 TEST(SweepBatch, BlockSweepReportsPanelsInReportAndSnapshot) {
@@ -273,9 +371,8 @@ TEST(SweepBatch, BlockSweepReportsPanelsInReportAndSnapshot) {
 
   // Each grouped outcome equals a lone evaluation of its point.
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const EvaluationPoint p{points[i].architecture, points[i].topology,
-                            points[i].tech, points[i].options};
-    expect_identical(report.outcomes[i].entry, scalar_reference(p),
+    expect_identical(report.outcomes[i].entry,
+                     scalar_reference(evaluation_point(points[i])),
                      points[i].label);
   }
 }
@@ -292,8 +389,8 @@ TEST(SweepBatch, BatchedParallelIsBitIdenticalToBatchedSerial) {
     expect_identical(a.outcomes[i].entry, b.outcomes[i].entry,
                      points[i].label);
   }
-  // Grouping is planned single-threaded in input order: the accounting
-  // cannot depend on scheduling.
+  // The accounting is read off the memo's table, whichever worker
+  // solved each request: it cannot depend on scheduling.
   EXPECT_EQ(a.batch.groups, b.batch.groups);
   EXPECT_EQ(a.batch.grouped_points, b.batch.grouped_points);
   EXPECT_EQ(a.batch.panel_columns, b.batch.panel_columns);
@@ -328,21 +425,20 @@ TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
   EXPECT_GT(report.batch.deduped_solves, 0u);
   EXPECT_GT(report.batch.panel_columns, 0u);
 
-  // Every scenario equals its outcome from the scalar loop (batch off).
-  FaultCampaignConfig scalar_config = config;
-  scalar_config.sweep.batch = false;
-  const FaultCampaignReport scalar =
-      FaultCampaignRunner(paper_system(), scalar_config)
-          .run(ArchitectureKind::kA3_TwoStage12V, TopologyKind::kDsch,
-               DeviceTechnology::kGalliumNitride, paper_options(21));
-  ASSERT_EQ(scalar.outcomes.size(), report.outcomes.size());
+  // Every scenario equals a lone evaluation of its injection.
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
     const FaultScenarioOutcome& a = report.outcomes[i];
-    const FaultScenarioOutcome& b = scalar.outcomes[i];
-    ASSERT_EQ(a.evaluation.has_value(), b.evaluation.has_value()) << i;
+    EvaluationPoint p = a3_point();
+    p.options = paper_options(21);
+    p.options.faults = a.injection;
+    const ExplorationEntry lone = scalar_reference(p);
+    const ArchitectureEvaluation* b =
+        lone.evaluation ? &*lone.evaluation
+                        : (lone.extrapolated ? &*lone.extrapolated : nullptr);
+    ASSERT_EQ(a.evaluation.has_value(), b != nullptr) << i;
     if (a.evaluation) {
       EXPECT_EQ(io::dump(io::to_json(*a.evaluation)),
-                io::dump(io::to_json(*b.evaluation)))
+                io::dump(io::to_json(*b)))
           << "scenario " << i;
     }
   }
@@ -362,7 +458,7 @@ TEST(FaultCampaignBatch, StageTwoCampaignPanelsAndBitExactNominal) {
 }
 
 // ---------------------------------------------------------------------------
-// DesignOptimizer: generations ride the batch engine
+// DesignOptimizer: generations share solves through the sweep memo
 // ---------------------------------------------------------------------------
 
 TEST(OptimizerBatch, ReportAccumulatesBatchStatsAcrossGenerations) {
@@ -380,17 +476,20 @@ TEST(OptimizerBatch, ReportAccumulatesBatchStatsAcrossGenerations) {
 
   const opt::OptimizeReport report =
       opt::DesignOptimizer(paper_system(), space, config).run();
-  // Every generation's sweep flows through the batch engine.
+  // Every generation's sweep reports its shared-solve accounting.
   EXPECT_GT(report.batch.points, 0u);
-  // The front matches a run whose sweeps evaluate point at a time.
-  opt::OptimizerConfig scalar_config = config;
-  scalar_config.sweep.batch = false;
-  const opt::OptimizeReport scalar =
-      opt::DesignOptimizer(paper_system(), space, scalar_config).run();
-  ASSERT_EQ(scalar.front.size(), report.front.size());
+  // Every front entry's objectives equal those of a lone evaluation of
+  // its design point.
+  ASSERT_FALSE(report.front.empty());
   for (std::size_t i = 0; i < report.front.size(); ++i) {
-    EXPECT_EQ(io::dump(io::to_json(report.front[i])),
-              io::dump(io::to_json(scalar.front[i])))
+    const opt::DesignPoint& point = report.front[i].candidate.point;
+    const ExplorationEntry lone = evaluate_with_exclusion(
+        paper_system(), point.architecture, point.topology, point.tech,
+        opt::lower(point, config.base_options));
+    ASSERT_TRUE(lone.evaluation.has_value()) << "front entry " << i;
+    EXPECT_EQ(report.front[i].objectives,
+              opt::cheap_objectives_of(paper_system(), point,
+                                       *lone.evaluation))
         << "front entry " << i;
   }
   const obs::Snapshot snap = report.snapshot();
@@ -403,7 +502,7 @@ TEST(OptimizerBatch, ReportAccumulatesBatchStatsAcrossGenerations) {
 }
 
 // ---------------------------------------------------------------------------
-// EvaluationService::evaluate_batch: dedup, LRU, partitions, errors
+// EvaluationService::evaluate_batch: dedup, LRU, shared solves, errors
 // ---------------------------------------------------------------------------
 
 io::EvaluationRequest make_request(ArchitectureKind arch,
@@ -440,7 +539,7 @@ TEST(ServeBatch, DedupsCachesPartitionsAndSurfacesErrors) {
       a3_faulted,  // 2: same operator -> group with 1, distinct sinks
       a3,          // 3: in-batch duplicate of 1
       bad,         // 4: per-member error
-      other_spec,  // 5: second spec partition, evaluated alone
+      other_spec,  // 5: another spec on a3's operator, distinct sinks
   };
   const std::vector<serve::ServiceResponse> responses =
       service.evaluate_batch(requests);
@@ -472,9 +571,20 @@ TEST(ServeBatch, DedupsCachesPartitionsAndSurfacesErrors) {
   EXPECT_EQ(counter("serve.batch.errors"), 1u);
   // Leaders evaluated: a3, a3_faulted, bad, other_spec.
   EXPECT_EQ(counter("serve.batch.evaluated"), 4u);
+  // One memo serves the whole call: the 900 W spec keeps a3's stage-1
+  // deployment (same mesh, legs and options), so its request joins a3's
+  // operator with a third sink vector.
   EXPECT_EQ(counter("serve.batch.groups"), 1u);
-  EXPECT_EQ(counter("serve.batch.grouped_points"), 2u);
-  EXPECT_EQ(counter("serve.batch.panel_columns"), 2u);
+  EXPECT_EQ(counter("serve.batch.grouped_points"), 3u);
+  EXPECT_EQ(counter("serve.batch.panel_columns"), 3u);
+
+  // Sharing an operator across specs changes no bits.
+  serve::EvaluationService fresh(config);
+  const serve::ServiceResponse lone = fresh.evaluate(other_spec);
+  ASSERT_NE(lone.entry, nullptr);
+  ASSERT_NE(responses[5].entry, nullptr);
+  EXPECT_EQ(io::dump(io::to_json(*responses[5].entry)),
+            io::dump(io::to_json(*lone.entry)));
 }
 
 TEST(ServeBatch, ResponsesMatchLoneEvaluates) {

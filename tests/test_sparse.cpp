@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "vpd/common/error.hpp"
 #include "vpd/common/matrix.hpp"
 #include "vpd/common/rng.hpp"
+#include "vpd/package/mesh.hpp"
 
 namespace vpd {
 namespace {
@@ -38,6 +41,33 @@ TEST(Triplets, ZeroEntriesStayStructural) {
   // counterpart.
   m.add_to_entry(0, 1, 2.0);
   EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
+}
+
+TEST(Triplets, CompiledMeshLaplacianHoldsNoDuplicateSlack) {
+  // A mesh Laplacian stamps four triplets per edge, which merge to ~5
+  // entries per row: the compiled arrays must hold the merged count, not
+  // the triplet count.
+  const GridMesh mesh(Length{10e-3}, Length{10e-3}, 41, 41, 2e-3);
+  const TripletList triplets = mesh.laplacian();
+  const CsrMatrix m(triplets);
+  EXPECT_LT(m.nonzero_count(), triplets.entry_count());
+  EXPECT_EQ(m.values().capacity(), m.values().size());
+  EXPECT_EQ(m.col_indices().capacity(), m.col_indices().size());
+
+  // Same pattern and bits as summing each (row, col) in insertion order.
+  std::map<std::pair<std::size_t, std::size_t>, double> merged;
+  for (const TripletList::Entry& e : triplets.entries()) {
+    merged[{e.row, e.col}] += e.value;
+  }
+  ASSERT_EQ(m.nonzero_count(), merged.size());
+  std::size_t k = 0;
+  for (const auto& [at, value] : merged) {
+    ASSERT_LT(k, m.row_offsets()[at.first + 1]);
+    EXPECT_GE(k, m.row_offsets()[at.first]);
+    EXPECT_EQ(m.col_indices()[k], at.second);
+    EXPECT_EQ(m.values()[k], value);
+    ++k;
+  }
 }
 
 TEST(Triplets, OutOfRangeThrows) {
