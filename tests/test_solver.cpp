@@ -9,12 +9,16 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "vpd/common/error.hpp"
 #include "vpd/common/matrix.hpp"
+#include "vpd/common/multigrid.hpp"
 #include "vpd/common/rng.hpp"
 #include "vpd/common/sparse.hpp"
 #include "vpd/package/irdrop.hpp"
@@ -430,6 +434,110 @@ TEST(Severing, FullyCutRegionGroundsFloatingNodesInsteadOfAborting) {
 // ---------------------------------------------------------------------------
 // Geometric multigrid preconditioner
 // ---------------------------------------------------------------------------
+
+/// FNV-1a over the exact bit patterns of a vector: a result pin that any
+/// change of rounding, summation order or signed zero moves.
+std::uint64_t bits_digest(const Vector& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (double x : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+/// 37 x 29 IR-drop-shaped operator for the bit pins: random edge
+/// conductances, one severed edge kept as a stored exact zero, and VR
+/// shunt stamps on a few diagonals. Odd x even dimensions give four
+/// multigrid levels (37x29, 19x15, 10x8, 5x4) with both boundary-clamped
+/// and interior interpolation stencils.
+CsrMatrix pinned_mesh_operator() {
+  constexpr std::size_t nx = 37, ny = 29;
+  Rng rng(2024);
+  const std::size_t n = nx * ny;
+  TripletList t(n, n);
+  const auto stamp = [&](std::size_t a, std::size_t b, double g) {
+    t.add(a, a, g);
+    t.add(b, b, g);
+    t.add(a, b, -g);
+    t.add(b, a, -g);
+  };
+  for (std::size_t iy = 0; iy < ny; ++iy)
+    for (std::size_t ix = 0; ix + 1 < nx; ++ix) {
+      const double g = (ix == 11 && iy == 7) ? 0.0 : rng.uniform(0.5, 2.0);
+      stamp(iy * nx + ix, iy * nx + ix + 1, g);
+    }
+  for (std::size_t iy = 0; iy + 1 < ny; ++iy)
+    for (std::size_t ix = 0; ix < nx; ++ix)
+      stamp(iy * nx + ix, (iy + 1) * nx + ix, rng.uniform(0.5, 2.0));
+  for (std::size_t vr = 0; vr < 6; ++vr) {
+    const std::size_t node = rng.next_below(static_cast<std::uint32_t>(n));
+    t.add(node, node, rng.uniform(50.0, 200.0));
+  }
+  return CsrMatrix(t);
+}
+
+TEST(Multigrid, PinnedApplyAndSolveBits) {
+  // Exact bits of one V-cycle and of a full multigrid CG solve. The
+  // multigrid setup and cycle may be restructured only in ways that keep
+  // every one of these bits: the transfer weights are dyadic and each sum
+  // keeps its term order, so any faithful rewrite reproduces them.
+  const CsrMatrix a = pinned_mesh_operator();
+  const CsrMatrix copy = a;
+  const std::size_t n = a.rows();
+  ASSERT_EQ(n, 37u * 29u);
+  const MgSymbolic hierarchy(37, 29);
+  ASSERT_EQ(hierarchy.level_count(), 4u);
+  Rng rng(7);
+  const Vector r = random_vector(rng, n);
+
+  MgPreconditioner mg;
+  mg.factor(a, hierarchy);
+  Vector z;
+  mg.apply(r, z);
+  EXPECT_EQ(bits_digest(z), 0xc170e25d4523ab81ull);
+  // A second apply on the same factor is the same cycle.
+  Vector again;
+  mg.apply(r, again);
+  EXPECT_EQ(again, z);
+
+  Vector b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(0.0, 1.0);
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kMultigrid;
+  options.mg_symbolic = &hierarchy;
+  const CgResult solve = solve_cg(copy, b, options);
+  ASSERT_TRUE(solve.converged);
+  EXPECT_EQ(solve.iterations, 22u);
+  EXPECT_EQ(bits_digest(solve.x), 0x88f1f867b8ccc3a2ull);
+  EXPECT_EQ(bits_of(solve.residual_norm), 0x3e1104cfce5a60d6ull);
+}
+
+TEST(SolverCore, PinnedIcSolveBits) {
+  // Exact bits of a 41 x 41 IC(0) CG solve (the default evaluation mesh):
+  // guards the CG iteration itself — SpMV, the dot products and the
+  // vector updates — against any reordering of its floating-point sums.
+  Rng rng(41);
+  const CsrMatrix a = random_spd_laplacian(rng, 41, 41, 8);
+  const Vector b = random_vector(rng, a.rows());
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kIncompleteCholesky;
+  const CgResult solve = solve_cg(a, b, options);
+  ASSERT_TRUE(solve.converged);
+  EXPECT_EQ(solve.iterations, 35u);
+  EXPECT_EQ(bits_digest(solve.x), 0x108e5731ac85fccaull);
+  EXPECT_EQ(bits_of(solve.residual_norm), 0x3e12ef90f02d67c6ull);
+}
 
 TEST(Multigrid, MatchesDenseReferenceOnRandomSpdLaplacians) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
