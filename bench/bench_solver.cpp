@@ -13,6 +13,10 @@
 //              across the 64 -> 512 refinement ladder must stay flat
 //              within 2x (max/min); prints the comparison
 //
+// The refinement ladder also times the multigrid setup (factor) and one
+// V-cycle (apply) on their own, at rungs from 41 to 512 nodes per edge:
+// the data for placing the IC(0) -> multigrid switch.
+//
 // The recorded baselines are the warm-start Jacobi iteration counts of
 // the default grid at the time the preconditioned core landed. The
 // Jacobi path preserves that operation order bit for bit, so these are
@@ -28,6 +32,7 @@
 
 #include "bench_output.hpp"
 #include "vpd/arch/evaluator.hpp"
+#include "vpd/common/multigrid.hpp"
 #include "vpd/common/table.hpp"
 #include "vpd/core/spec.hpp"
 #include "vpd/package/irdrop.hpp"
@@ -135,6 +140,37 @@ SolveSample assembled_solve(const AssembledMesh& assembled,
   return sample;
 }
 
+struct MgTiming {
+  double factor_seconds{0.0};
+  double cycle_seconds{0.0};
+};
+
+// Best-of-`repetitions` times of the multigrid setup and of one V-cycle on
+// the operator the refinement ladder solves (the Laplacian with the
+// mid-edge VR shunts stamped), over the cached hierarchy.
+MgTiming mg_timing(const AssembledMesh& assembled, int repetitions) {
+  CsrMatrix a = assembled.laplacian;
+  for (const VrAttachment& vr : mid_edge_vrs(assembled.mesh))
+    a.add_to_entry(vr.node, vr.node, 1.0 / vr.series.value);
+  const Vector r = uniform_sinks(assembled.mesh, Current{500.0});
+  MgPreconditioner mg;
+  Vector z;
+  MgTiming timing;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    mg.factor(a, assembled.pattern->mg_symbolic);
+    const double factor = seconds_since(start);
+    start = std::chrono::steady_clock::now();
+    mg.apply(r, z);
+    const double cycle = seconds_since(start);
+    if (rep == 0 || factor < timing.factor_seconds)
+      timing.factor_seconds = factor;
+    if (rep == 0 || cycle < timing.cycle_seconds)
+      timing.cycle_seconds = cycle;
+  }
+  return timing;
+}
+
 SolveSample grid_point(const GridPoint& point,
                        CgPreconditioner preconditioner, int repetitions) {
   const PowerDeliverySpec spec = paper_system();
@@ -215,36 +251,55 @@ int main(int argc, char** argv) {
   // --- Refinement ladder: IC(0) vs multigrid --------------------------------
   // IC(0) iteration counts grow with refinement; the multigrid V-cycle
   // keeps them essentially flat. The guard asserts the flatness (max/min
-  // multigrid iterations across the ladder <= 2x) rather than comparing
-  // against recorded counts: mesh-size independence is the property.
-  const std::size_t ladder[] = {64, 128, 256, 512};
+  // multigrid iterations across the 64 -> 512 rungs <= 2x) rather than
+  // comparing against recorded counts: mesh-size independence is the
+  // property. The rungs below 64 and between the powers of two locate the
+  // IC(0)/multigrid crossover and stay outside the guard.
+  struct Rung {
+    std::size_t nodes;
+    bool flatness_guard;
+  };
+  const Rung ladder[] = {{41, false},  {48, false},  {64, true},
+                         {81, false},  {96, false},  {128, true},
+                         {161, false}, {256, true},  {512, true}};
   TextTable ladder_table({"Mesh", "IC(0) its", "MG its", "IC(0) wall",
-                          "MG wall", "Wall ratio"});
+                          "MG wall", "Wall ratio", "MG factor",
+                          "MG cycle"});
   io::Value ladder_rows = io::Value::array();
   std::size_t mg_min_iterations = 0;
   std::size_t mg_max_iterations = 0;
-  for (std::size_t nodes : ladder) {
+  for (const Rung& rung : ladder) {
+    const std::size_t nodes = rung.nodes;
+    const int ladder_repetitions = nodes <= 256 ? repetitions : 1;
     const auto assembled =
         assemble_mesh(Length{10e-3}, Length{10e-3}, nodes, nodes, 2e-3);
-    const SolveSample ic = assembled_solve(
-        *assembled, CgPreconditioner::kIncompleteCholesky, 1);
-    const SolveSample mg =
-        assembled_solve(*assembled, CgPreconditioner::kMultigrid, 1);
-    if (mg_min_iterations == 0 || mg.iterations < mg_min_iterations)
-      mg_min_iterations = mg.iterations;
-    if (mg.iterations > mg_max_iterations)
-      mg_max_iterations = mg.iterations;
+    const SolveSample ic =
+        assembled_solve(*assembled, CgPreconditioner::kIncompleteCholesky,
+                        ladder_repetitions);
+    const SolveSample mg = assembled_solve(
+        *assembled, CgPreconditioner::kMultigrid, ladder_repetitions);
+    const MgTiming mg_parts = mg_timing(*assembled, repetitions);
+    if (rung.flatness_guard) {
+      if (mg_min_iterations == 0 || mg.iterations < mg_min_iterations)
+        mg_min_iterations = mg.iterations;
+      if (mg.iterations > mg_max_iterations)
+        mg_max_iterations = mg.iterations;
+    }
     ladder_table.add_row(
         {std::to_string(nodes) + "x" + std::to_string(nodes),
          std::to_string(ic.iterations), std::to_string(mg.iterations),
          format_us(ic.best_seconds), format_us(mg.best_seconds),
-         format_ratio(ic.best_seconds / mg.best_seconds)});
+         format_ratio(ic.best_seconds / mg.best_seconds),
+         format_us(mg_parts.factor_seconds),
+         format_us(mg_parts.cycle_seconds)});
     io::Value row = io::Value::object();
     row.set("nodes", nodes);
     row.set("ic_iterations", ic.iterations);
     row.set("mg_iterations", mg.iterations);
     row.set("ic_seconds", ic.best_seconds);
     row.set("mg_seconds", mg.best_seconds);
+    row.set("mg_factor_seconds", mg_parts.factor_seconds);
+    row.set("mg_cycle_seconds", mg_parts.cycle_seconds);
     ladder_rows.push_back(std::move(row));
   }
   const double mg_growth = static_cast<double>(mg_max_iterations) /
@@ -305,9 +360,10 @@ int main(int argc, char** argv) {
               "%d):\n", repetitions);
   std::cout << mesh_table << '\n';
   std::printf("Refinement ladder (cached hierarchy, IC(0) vs multigrid "
-              "V(1,1)):\n");
+              "V(1,1); best of %d up to 256x256; MG factor and one MG "
+              "cycle timed apart):\n", repetitions);
   std::cout << ladder_table << '\n';
-  std::printf("Multigrid iteration growth across the ladder: %.2fx "
+  std::printf("Multigrid iteration growth across the 64 -> 512 rungs: %.2fx "
               "(flat means <= 2x): %s\n\n",
               mg_growth, mg_ladder_flat ? "ok" : "EXCEEDED");
   std::printf("Default evaluation grid (per-evaluation CG iterations):\n");

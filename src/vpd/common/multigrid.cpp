@@ -69,23 +69,44 @@ void five_point_pattern(std::size_t nx, std::size_t ny,
   }
 }
 
+/// Slot of each row's diagonal in a CSR pattern with every diagonal
+/// structurally present (true of the 5-point stencil and, through it, of
+/// every Galerkin pattern).
+std::vector<std::uint32_t> diagonal_slots(
+    const std::vector<std::uint32_t>& offsets,
+    const std::vector<std::uint32_t>& cols) {
+  const std::size_t n = offsets.size() - 1;
+  std::vector<std::uint32_t> diag(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto first = cols.begin() + offsets[r];
+    const auto last = cols.begin() + offsets[r + 1];
+    diag[r] = static_cast<std::uint32_t>(
+        std::lower_bound(first, last, static_cast<std::uint32_t>(r)) -
+        cols.begin());
+  }
+  return diag;
+}
+
 }  // namespace
 
 MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
   VPD_REQUIRE(nx >= 2 && ny >= 2, "multigrid hierarchy needs an nx, ny >= 2 "
               "grid, got ", nx, "x", ny);
-  // Pattern of the operator at the level under construction; seeded with
-  // the fine 5-point stencil, replaced by each Galerkin coarse pattern.
-  std::vector<std::uint32_t> a_offsets;
-  std::vector<std::uint32_t> a_cols;
-  five_point_pattern(nx, ny, a_offsets, a_cols);
+  auto levels = std::make_shared<std::vector<Level>>();
+  // Level 0 carries the fine 5-point stencil; each pass below derives the
+  // next level's pattern from the current one.
+  levels->push_back({});
+  levels->back().n = nx * ny;
+  five_point_pattern(nx, ny, levels->back().a_offsets,
+                     levels->back().a_cols);
+  fine_digest_ =
+      csr_pattern_digest(nx * ny, nx * ny, levels->back().a_offsets,
+                         levels->back().a_cols);
 
   for (;;) {
-    levels_.push_back({});
-    Level& level = levels_.back();
-    level.nx = nx;
-    level.ny = ny;
-    const std::size_t n = nx * ny;
+    Level& level = levels->back();
+    level.a_diag = diagonal_slots(level.a_offsets, level.a_cols);
+    const std::size_t n = level.n;
     if (n <= kCoarsestNodes) break;  // coarsest level: solved directly
 
     const std::size_t cnx = coarse_dim(nx);
@@ -136,11 +157,13 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
       }
     }
 
-    // Symbolic Galerkin pattern of P^T A P: coarse row I touches coarse
-    // column J whenever some fine entry (i, j) has P(i, I) and P(j, J)
-    // nonzero. Marker-swept per coarse row, columns emitted sorted.
-    level.c_offsets.assign(nc + 1, 0);
-    level.c_cols.clear();
+    // Symbolic Galerkin pattern of P^T A P, the next level's operator
+    // pattern: coarse row I touches coarse column J whenever some fine
+    // entry (i, j) has P(i, I) and P(j, J) nonzero. Marker-swept per
+    // coarse row, columns emitted sorted.
+    Level coarse;
+    coarse.n = nc;
+    coarse.a_offsets.assign(nc + 1, 0);
     std::vector<std::uint32_t> marker(nc, 0);
     std::vector<std::uint32_t> scratch;
     for (std::size_t I = 0; I < nc; ++I) {
@@ -149,8 +172,9 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
       for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
            ++t) {
         const std::uint32_t i = level.r_rows[t];
-        for (std::uint32_t k = a_offsets[i]; k < a_offsets[i + 1]; ++k) {
-          const std::uint32_t j = a_cols[k];
+        for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
+             ++k) {
+          const std::uint32_t j = level.a_cols[k];
           for (std::uint32_t q = level.p_offsets[j];
                q < level.p_offsets[j + 1]; ++q) {
             const std::uint32_t J = level.p_cols[q];
@@ -162,16 +186,15 @@ MgSymbolic::MgSymbolic(std::size_t nx, std::size_t ny) {
         }
       }
       std::sort(scratch.begin(), scratch.end());
-      level.c_cols.insert(level.c_cols.end(), scratch.begin(), scratch.end());
-      level.c_offsets[I + 1] = static_cast<std::uint32_t>(level.c_cols.size());
+      coarse.a_cols.insert(coarse.a_cols.end(), scratch.begin(),
+                           scratch.end());
+      coarse.a_offsets[I + 1] = static_cast<std::uint32_t>(coarse.a_cols.size());
     }
-
-    // The coarse pattern becomes the next level's operator pattern.
-    a_offsets.assign(level.c_offsets.begin(), level.c_offsets.end());
-    a_cols = level.c_cols;
+    levels->push_back(std::move(coarse));  // invalidates `level`
     nx = cnx;
     ny = cny;
   }
+  levels_ = std::move(levels);
 }
 
 void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
@@ -180,111 +203,83 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
   VPD_REQUIRE(shared.rows() == a.rows(), "multigrid hierarchy is for a ",
               shared.rows(), "-row grid, got ", a.rows());
   VPD_REQUIRE(a.rows() == a.cols(), "multigrid requires a square matrix");
+  // The Galerkin chain below scatters only into the hierarchy's symbolic
+  // patterns, which are exact for the grid's 5-point stencil; checking
+  // the fine pattern once (by its compile-time digest) is what lets every
+  // level skip per-term pattern bookkeeping.
+  VPD_REQUIRE(a.pattern_digest() == shared.fine_digest_,
+              "multigrid: matrix pattern is not the hierarchy's 5-point grid "
+              "stencil (", a.rows(), " rows, ", a.nonzero_count(),
+              " stored entries)");
 
-  const std::size_t depth = shared.levels_.size();
-  levels_.assign(depth, {});
+  hierarchy_ = shared.levels_;
+  const std::vector<SymLevel>& sym = *hierarchy_;
+  const std::size_t depth = sym.size();
+  levels_.resize(depth);  // keeps each level's storage across factors
+  levels_.front().a_vals.assign(a.values().begin(), a.values().end());
 
-  // Finest operator: the matrix itself (u32 copy). Its pattern must stay
-  // within the declared grid's 5-point stencil for the Galerkin scatter
-  // below to be lossless; membership is checked slot by slot.
-  {
-    Level& fine = levels_.front();
-    fine.n = a.rows();
-    fine.a_offsets.assign(a.row_offsets().begin(), a.row_offsets().end());
-    fine.a_cols.assign(a.col_indices().begin(), a.col_indices().end());
-    fine.a_vals = a.values();
-  }
-
-  // Copy the transfer operators, then run the numeric Galerkin chain:
-  // A_{l+1}(I, J) = sum_i R(I, i) sum_j A_l(i, j) P(j, J), accumulated
-  // into a dense per-row scratch and gathered in pattern order, so the
-  // rounding order is a fixed function of the hierarchy — deterministic.
-  std::vector<double> acc;
-  std::vector<std::uint32_t> touched;
+  // Numeric Galerkin chain: A_{l+1}(I, J) = sum_i R(I, i) sum_j A_l(i, j)
+  // P(j, J), accumulated into a dense scratch reset over the coarse row's
+  // own pattern and gathered in pattern order, so the rounding order is a
+  // fixed function of the hierarchy — deterministic.
   for (std::size_t l = 0; l + 1 < depth; ++l) {
-    const MgSymbolic::Level& sym = shared.levels_[l];
-    Level& level = levels_[l];
-    level.p_offsets = sym.p_offsets;
-    level.p_cols = sym.p_cols;
-    level.p_vals = sym.p_vals;
-    level.r_offsets = sym.r_offsets;
-    level.r_rows = sym.r_rows;
-    level.r_vals = sym.r_vals;
-
-    Level& coarse = levels_[l + 1];
-    const std::size_t nc = sym.r_offsets.size() - 1;
-    coarse.n = nc;
-    coarse.a_offsets = sym.c_offsets;
-    coarse.a_cols = sym.c_cols;
-    coarse.a_vals.assign(sym.c_cols.size(), 0.0);
-
-    acc.assign(nc, 0.0);
-    for (std::size_t I = 0; I < nc; ++I) {
-      touched.clear();
-      for (std::uint32_t t = sym.r_offsets[I]; t < sym.r_offsets[I + 1];
-           ++t) {
-        const std::uint32_t i = sym.r_rows[t];
-        const double w_i = sym.r_vals[t];
-        for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
-             ++k) {
-          const double contrib = w_i * level.a_vals[k];
-          const std::uint32_t j = level.a_cols[k];
-          for (std::uint32_t q = sym.p_offsets[j]; q < sym.p_offsets[j + 1];
-               ++q) {
-            const std::uint32_t J = sym.p_cols[q];
-            if (acc[J] == 0.0) touched.push_back(J);
-            acc[J] += contrib * sym.p_vals[q];
-          }
+    const SymLevel& f = sym[l];
+    const SymLevel& c = sym[l + 1];
+    const double* fine_vals = levels_[l].a_vals.data();
+    std::vector<double>& coarse_vals = levels_[l + 1].a_vals;
+    coarse_vals.resize(c.a_cols.size());
+    if (acc_.size() < c.n) acc_.resize(c.n);
+    double* acc = acc_.data();
+    for (std::size_t I = 0; I < c.n; ++I) {
+      const std::uint32_t begin = c.a_offsets[I];
+      const std::uint32_t end = c.a_offsets[I + 1];
+      for (std::uint32_t s = begin; s < end; ++s) acc[c.a_cols[s]] = 0.0;
+      for (std::uint32_t t = f.r_offsets[I]; t < f.r_offsets[I + 1]; ++t) {
+        const std::uint32_t i = f.r_rows[t];
+        const double w_i = f.r_vals[t];
+        for (std::uint32_t k = f.a_offsets[i]; k < f.a_offsets[i + 1]; ++k) {
+          const double contrib = w_i * fine_vals[k];
+          const std::uint32_t j = f.a_cols[k];
+          for (std::uint32_t q = f.p_offsets[j]; q < f.p_offsets[j + 1]; ++q)
+            acc[f.p_cols[q]] += contrib * f.p_vals[q];
         }
       }
-      // Gather in pattern order; every touched column must be a pattern
-      // slot (guaranteed when the fine operator stays within the grid
-      // stencil the hierarchy was built for).
-      const std::uint32_t begin = sym.c_offsets[I];
-      const std::uint32_t end = sym.c_offsets[I + 1];
-      for (std::uint32_t s = begin; s < end; ++s) {
-        coarse.a_vals[s] = acc[sym.c_cols[s]];
-      }
-      for (std::uint32_t J : touched) {
-        const auto first = sym.c_cols.begin() + begin;
-        const auto last = sym.c_cols.begin() + end;
-        VPD_REQUIRE(std::binary_search(first, last, J),
-                    "matrix pattern escapes the multigrid hierarchy's grid "
-                    "stencil at coarse entry (", I, ",", J, ")");
-        acc[J] = 0.0;
-      }
+      for (std::uint32_t s = begin; s < end; ++s)
+        coarse_vals[s] = acc[c.a_cols[s]];
     }
   }
 
-  // Smoother diagonals. An SPD operator has a strictly positive diagonal,
-  // and Galerkin products of SPD operators through full-column-rank P stay
-  // SPD, so a non-positive pivot here means the input was not SPD.
-  for (Level& level : levels_) {
-    level.inv_diag.assign(level.n, 0.0);
-    for (std::size_t r = 0; r < level.n; ++r) {
-      double d = 0.0;
-      for (std::uint32_t k = level.a_offsets[r]; k < level.a_offsets[r + 1];
-           ++k) {
-        if (level.a_cols[k] == static_cast<std::uint32_t>(r)) {
-          d = level.a_vals[k];
-          break;
-        }
-      }
+  // Smoother scaling and V-cycle scratch. An SPD operator has a strictly
+  // positive diagonal, and Galerkin products of SPD operators through
+  // full-column-rank P stay SPD, so a non-positive pivot here means the
+  // input was not SPD.
+  for (std::size_t l = 0; l < depth; ++l) {
+    const SymLevel& s = sym[l];
+    Level& level = levels_[l];
+    level.smooth.resize(s.n);
+    for (std::size_t r = 0; r < s.n; ++r) {
+      const double d = level.a_vals[s.a_diag[r]];
       VPD_CHECK_NUMERIC(d > 0.0, "multigrid level diagonal not positive at "
                         "row ", r, " (value ", d, "); system is not SPD");
-      level.inv_diag[r] = 1.0 / d;
+      level.smooth[r] = kJacobiDamping * (1.0 / d);
+    }
+    if (l + 1 < depth) level.work.resize(s.n);
+    if (l > 0) {
+      level.rhs.resize(s.n);
+      level.x.resize(s.n);
     }
   }
 
   // Dense Cholesky of the coarsest operator.
   {
-    const Level& bottom = levels_.back();
+    const SymLevel& bottom = sym.back();
+    const std::vector<double>& vals = levels_.back().a_vals;
     coarse_n_ = bottom.n;
     coarse_chol_.assign(coarse_n_ * coarse_n_, 0.0);
     for (std::size_t r = 0; r < coarse_n_; ++r)
       for (std::uint32_t k = bottom.a_offsets[r]; k < bottom.a_offsets[r + 1];
            ++k)
-        coarse_chol_[r * coarse_n_ + bottom.a_cols[k]] = bottom.a_vals[k];
+        coarse_chol_[r * coarse_n_ + bottom.a_cols[k]] = vals[k];
     for (std::size_t j = 0; j < coarse_n_; ++j) {
       double d = coarse_chol_[j * coarse_n_ + j];
       for (std::size_t k = 0; k < j; ++k) {
@@ -307,83 +302,93 @@ void MgPreconditioner::factor(const CsrMatrix& a, const MgSymbolic& shared) {
   }
 }
 
-void MgPreconditioner::cycle(std::size_t l) {
+void MgPreconditioner::cycle(std::size_t l, const double* rhs, double* out) {
+  const SymLevel& sym = (*hierarchy_)[l];
   Level& level = levels_[l];
-  const std::size_t n = level.n;
+  const std::size_t n = sym.n;
 
   if (l + 1 == levels_.size()) {
-    // Coarsest: direct dense Cholesky solve, x = (L L^T)^{-1} rhs.
-    level.x = level.rhs;
+    // Coarsest: direct dense Cholesky solve, out = (L L^T)^{-1} rhs.
+    const double* chol = coarse_chol_.data();
     for (std::size_t i = 0; i < n; ++i) {
-      double s = level.x[i];
-      for (std::size_t k = 0; k < i; ++k)
-        s -= coarse_chol_[i * n + k] * level.x[k];
-      level.x[i] = s / coarse_chol_[i * n + i];
+      double s = rhs[i];
+      for (std::size_t k = 0; k < i; ++k) s -= chol[i * n + k] * out[k];
+      out[i] = s / chol[i * n + i];
     }
     for (std::size_t i = n; i-- > 0;) {
-      double s = level.x[i];
-      for (std::size_t k = i + 1; k < n; ++k)
-        s -= coarse_chol_[k * n + i] * level.x[k];
-      level.x[i] = s / coarse_chol_[i * n + i];
+      double s = out[i];
+      for (std::size_t k = i + 1; k < n; ++k) s -= chol[k * n + i] * out[k];
+      out[i] = s / chol[i * n + i];
     }
     return;
   }
 
-  // Pre-smooth (one damped-Jacobi sweep from a zero initial iterate).
-  level.x.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    level.x[i] = kJacobiDamping * level.inv_diag[i] * level.rhs[i];
-
-  // Residual r = rhs - A x.
-  level.r.resize(n);
+  const std::uint32_t* a_offsets = sym.a_offsets.data();
+  const std::uint32_t* a_cols = sym.a_cols.data();
+  const double* a_vals = level.a_vals.data();
+  const double* smooth = level.smooth.data();
+  double* work = level.work.data();
+  // Pre-smooth (one damped-Jacobi sweep from a zero initial iterate,
+  // x = omega D^{-1} rhs) fused into the residual work = rhs - A x: each
+  // x term is recomputed in the same expression, so x is never stored.
   for (std::size_t i = 0; i < n; ++i) {
     double s = 0.0;
-    for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
-         ++k)
-      s += level.a_vals[k] * level.x[level.a_cols[k]];
-    level.r[i] = level.rhs[i] - s;
+    for (std::uint32_t k = a_offsets[i]; k < a_offsets[i + 1]; ++k) {
+      const std::uint32_t j = a_cols[k];
+      s += a_vals[k] * (smooth[j] * rhs[j]);
+    }
+    work[i] = rhs[i] - s;
   }
 
   // Restrict into the coarse right-hand side and recurse.
   Level& coarse = levels_[l + 1];
-  coarse.rhs.resize(coarse.n);
-  for (std::size_t I = 0; I < coarse.n; ++I) {
-    double s = 0.0;
-    for (std::uint32_t t = level.r_offsets[I]; t < level.r_offsets[I + 1];
-         ++t)
-      s += level.r_vals[t] * level.r[level.r_rows[t]];
-    coarse.rhs[I] = s;
+  {
+    const std::uint32_t* r_offsets = sym.r_offsets.data();
+    const std::uint32_t* r_rows = sym.r_rows.data();
+    const double* r_vals = sym.r_vals.data();
+    double* coarse_rhs = coarse.rhs.data();
+    const std::size_t nc = sym.r_offsets.size() - 1;
+    for (std::size_t c = 0; c < nc; ++c) {
+      double s = 0.0;
+      for (std::uint32_t t = r_offsets[c]; t < r_offsets[c + 1]; ++t)
+        s += r_vals[t] * work[r_rows[t]];
+      coarse_rhs[c] = s;
+    }
   }
-  cycle(l + 1);
+  cycle(l + 1, coarse.rhs.data(), coarse.x.data());
 
-  // Prolongate the coarse correction.
+  // Prolongate the coarse correction onto the pre-smoothed iterate; the
+  // residual is spent, so work now holds the iterate.
+  {
+    const std::uint32_t* p_offsets = sym.p_offsets.data();
+    const std::uint32_t* p_cols = sym.p_cols.data();
+    const double* p_vals = sym.p_vals.data();
+    const double* xc = coarse.x.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (std::uint32_t k = p_offsets[i]; k < p_offsets[i + 1]; ++k)
+        s += p_vals[k] * xc[p_cols[k]];
+      work[i] = smooth[i] * rhs[i] + s;
+    }
+  }
+
+  // Post-smooth (the adjoint sweep, x + omega D^{-1} (rhs - A x)) in one
+  // pass into out: Jacobi reads only the old iterate.
   for (std::size_t i = 0; i < n; ++i) {
     double s = 0.0;
-    for (std::uint32_t k = level.p_offsets[i]; k < level.p_offsets[i + 1];
-         ++k)
-      s += level.p_vals[k] * coarse.x[level.p_cols[k]];
-    level.x[i] += s;
+    for (std::uint32_t k = a_offsets[i]; k < a_offsets[i + 1]; ++k)
+      s += a_vals[k] * work[a_cols[k]];
+    out[i] = work[i] + smooth[i] * (rhs[i] - s);
   }
-
-  // Post-smooth (the adjoint sweep: x += omega D^{-1} (rhs - A x)).
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::uint32_t k = level.a_offsets[i]; k < level.a_offsets[i + 1];
-         ++k)
-      s += level.a_vals[k] * level.x[level.a_cols[k]];
-    level.r[i] = level.rhs[i] - s;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    level.x[i] += kJacobiDamping * level.inv_diag[i] * level.r[i];
 }
 
 void MgPreconditioner::apply(const Vector& r, Vector& z) {
   VPD_REQUIRE(!empty(), "MgPreconditioner::apply before factor()");
-  VPD_REQUIRE(r.size() == levels_.front().n, "preconditioner apply: vector "
-              "has ", r.size(), " entries, expected ", levels_.front().n);
-  levels_.front().rhs = r;
-  cycle(0);
-  z = levels_.front().x;
+  const std::size_t n = hierarchy_->front().n;
+  VPD_REQUIRE(r.size() == n, "preconditioner apply: vector has ", r.size(),
+              " entries, expected ", n);
+  z.resize(n);
+  cycle(0, r.data(), z.data());
 }
 
 }  // namespace vpd

@@ -16,28 +16,6 @@ void TripletList::add(std::size_t row, std::size_t col, double value) {
   entries_.push_back({row, col, value});
 }
 
-namespace {
-
-/// FNV-1a-style hash over the matrix shape and index arrays, one 64-bit
-/// word per step: the pattern half of CgWorkspace's operator key.
-std::uint64_t pattern_hash(std::size_t rows, std::size_t cols,
-                           const std::vector<std::size_t>& offsets,
-                           const std::vector<std::size_t>& indices) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-    h ^= h >> 32;
-  };
-  mix(rows);
-  mix(cols);
-  for (std::size_t v : offsets) mix(v);
-  for (std::size_t v : indices) mix(v);
-  return h;
-}
-
-}  // namespace
-
 CsrMatrix::CsrMatrix(const TripletList& triplets)
     : rows_(triplets.rows()), cols_(triplets.cols()) {
   // Counting sort by row (O(nnz), stable), small per-row sorts by column,
@@ -105,7 +83,8 @@ CsrMatrix::CsrMatrix(const TripletList& triplets)
   }
   col_indices_.assign(bucket_cols.begin(), bucket_cols.begin() + merged);
   values_.assign(bucket_values.begin(), bucket_values.begin() + merged);
-  pattern_digest_ = pattern_hash(rows_, cols_, row_offsets_, col_indices_);
+  pattern_digest_ =
+      csr_pattern_digest(rows_, cols_, row_offsets_, col_indices_);
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {
@@ -125,6 +104,23 @@ void CsrMatrix::multiply_into(const Vector& x, Vector& y) const {
       s += values_[k] * x[col_indices_[k]];
     y[r] = s;
   }
+}
+
+double CsrMatrix::multiply_into_dot(const Vector& x, Vector& y) const {
+  VPD_REQUIRE(x.size() == cols_, "SpMV: vector has ", x.size(),
+              " entries, matrix has ", cols_, " columns");
+  VPD_REQUIRE(&x != &y, "SpMV: input and output must be distinct vectors");
+  VPD_REQUIRE(rows_ == cols_, "SpMV dot: matrix is ", rows_, "x", cols_);
+  y.resize(rows_);
+  double xy = 0.0;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double s = 0.0;
+    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
+      s += values_[k] * x[col_indices_[k]];
+    y[r] = s;
+    xy += x[r] * s;
+  }
+  return xy;
 }
 
 double CsrMatrix::at(std::size_t row, std::size_t col) const {
@@ -706,17 +702,22 @@ CgResult solve_cg(const CsrMatrix& a, const Vector& b,
   double rz = dot(r, z);
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    a.multiply_into(p, ap);
-    const double p_ap = dot(p, ap);
+    const double p_ap = a.multiply_into_dot(p, ap);
     VPD_CHECK_NUMERIC(p_ap > 0.0,
                       "CG breakdown: p^T A p = ", p_ap,
                       " <= 0; matrix is not positive definite");
     const double alpha = rz / p_ap;
-    axpy(alpha, p, result.x);
-    axpy(-alpha, ap, r);
+    const double neg_alpha = -alpha;
+    // x += alpha p and r -= alpha ap, with ||r||^2 summed in the same pass.
+    double rr = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      result.x[i] += alpha * p[i];
+      r[i] += neg_alpha * ap[i];
+      rr += r[i] * r[i];
+    }
     result.iterations = iter + 1;
 
-    const double r_norm = norm2(r);
+    const double r_norm = std::sqrt(rr);
     if (r_norm <= target) {
       // The recurrence residual can drift from the true residual over many
       // iterations; only the true residual certifies convergence.

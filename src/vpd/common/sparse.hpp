@@ -54,6 +54,28 @@ class TripletList {
   std::vector<Entry> entries_;
 };
 
+/// FNV-1a-style digest of a CSR pattern: the shape and both index arrays,
+/// one 64-bit word per step. CsrMatrix::pattern_digest is this digest of
+/// its compiled arrays; a pattern kept with another index width (the
+/// multigrid hierarchy's 32-bit fine stencil) digests equal exactly when
+/// its indices are equal.
+template <class Index>
+std::uint64_t csr_pattern_digest(std::size_t rows, std::size_t cols,
+                                 const std::vector<Index>& offsets,
+                                 const std::vector<Index>& indices) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+    h ^= h >> 32;
+  };
+  mix(rows);
+  mix(cols);
+  for (Index v : offsets) mix(v);
+  for (Index v : indices) mix(v);
+  return h;
+}
+
 /// Compressed sparse row matrix.
 class CsrMatrix {
  public:
@@ -80,6 +102,10 @@ class CsrMatrix {
   /// y = A x into caller storage (resized to rows()); x and y must be
   /// distinct objects. The allocation-free SpMV the CG iteration uses.
   void multiply_into(const Vector& x, Vector& y) const;
+  /// multiply_into, returning x^T y (= x^T A x) summed in the same pass:
+  /// the CG step's curvature without a second sweep over the vectors.
+  /// Bit-identical to multiply_into followed by dot(x, y).
+  double multiply_into_dot(const Vector& x, Vector& y) const;
 
   /// Element lookup (O(log nnz_row)); returns 0 for structural zeros.
   double at(std::size_t row, std::size_t col) const;

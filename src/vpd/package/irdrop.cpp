@@ -258,14 +258,15 @@ std::vector<VrAttachment> patch_attachment(const GridMesh& mesh, Length cx,
       index_window(cx.value, mesh.width().value, mesh.nx());
   const auto [iy_lo, iy_hi] =
       index_window(cy.value, mesh.height().value, mesh.ny());
+  // Row and column coordinates come from the expressions x_of/y_of use,
+  // so the test is the same per node, evaluated once per row and column.
+  const double reach = half + 1e-12;
   std::vector<std::size_t> nodes;
   for (std::size_t iy = iy_lo; iy <= iy_hi; ++iy) {
+    if (!(std::fabs(mesh.row_y(iy) - cy.value) <= reach)) continue;
     for (std::size_t ix = ix_lo; ix <= ix_hi; ++ix) {
-      const std::size_t i = mesh.node(ix, iy);
-      const double dx = mesh.x_of(i).value - cx.value;
-      const double dy = mesh.y_of(i).value - cy.value;
-      if (std::fabs(dx) <= half + 1e-12 && std::fabs(dy) <= half + 1e-12)
-        nodes.push_back(i);
+      if (std::fabs(mesh.column_x(ix) - cx.value) <= reach)
+        nodes.push_back(iy * mesh.nx() + ix);
     }
   }
   if (nodes.empty()) nodes.push_back(mesh.nearest_node(cx, cy));

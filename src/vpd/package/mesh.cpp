@@ -71,16 +71,12 @@ std::size_t GridMesh::node(std::size_t ix, std::size_t iy) const {
 
 Length GridMesh::x_of(std::size_t node_index) const {
   VPD_REQUIRE(node_index < node_count(), "node index out of range");
-  const std::size_t ix = node_index % nx_;
-  return Length{width_.value * static_cast<double>(ix) /
-                static_cast<double>(nx_ - 1)};
+  return Length{column_x(node_index % nx_)};
 }
 
 Length GridMesh::y_of(std::size_t node_index) const {
   VPD_REQUIRE(node_index < node_count(), "node index out of range");
-  const std::size_t iy = node_index / nx_;
-  return Length{height_.value * static_cast<double>(iy) /
-                static_cast<double>(ny_ - 1)};
+  return Length{row_y(node_index / nx_)};
 }
 
 std::size_t GridMesh::nearest_node(Length x, Length y) const {

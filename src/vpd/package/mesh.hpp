@@ -60,6 +60,16 @@ class GridMesh {
   /// Physical position of a node (cell centers, origin at the die corner).
   Length x_of(std::size_t node_index) const;
   Length y_of(std::size_t node_index) const;
+  /// x of grid column ix and y of grid row iy, in meters: the expressions
+  /// x_of/y_of evaluate, inline for scans over a window of the grid.
+  double column_x(std::size_t ix) const {
+    return width_.value * static_cast<double>(ix) /
+           static_cast<double>(nx_ - 1);
+  }
+  double row_y(std::size_t iy) const {
+    return height_.value * static_cast<double>(iy) /
+           static_cast<double>(ny_ - 1);
+  }
 
   /// Nearest node to a physical position.
   std::size_t nearest_node(Length x, Length y) const;

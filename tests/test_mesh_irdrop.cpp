@@ -30,6 +30,63 @@ TEST(Mesh, NodeIndexingAndPositions) {
   EXPECT_THROW(m.node(5, 0), InvalidArgument);
 }
 
+TEST(Mesh, PatchAttachmentMatchesABruteForceScanOfEveryNode) {
+  // The windowed scan must pick exactly the nodes, in row-major order,
+  // that testing every node's x_of/y_of against the patch square picks,
+  // with the same per-leg resistance; a patch that covers no node falls
+  // back to the nearest one. Non-square pitches (nx != ny, width !=
+  // height) keep the two axes honest.
+  const GridMesh m(10.0_mm, 7.0_mm, 41, 29, 1e-3);
+  const auto brute = [&m](double cx, double cy, double side) {
+    const double half = 0.5 * side;
+    std::vector<std::size_t> nodes;
+    for (std::size_t i = 0; i < m.node_count(); ++i) {
+      const double dx = m.x_of(i).value - cx;
+      const double dy = m.y_of(i).value - cy;
+      if (std::fabs(dx) <= half + 1e-12 && std::fabs(dy) <= half + 1e-12)
+        nodes.push_back(i);
+    }
+    if (nodes.empty())
+      nodes.push_back(m.nearest_node(Length{cx}, Length{cy}));
+    return nodes;
+  };
+  const double pitch_x = 10e-3 / 40.0;
+  struct Patch {
+    const char* where;
+    double cx, cy, side;
+  };
+  const Patch patches[] = {
+      {"corner", 0.0, 0.0, 1.5e-3},
+      {"far corner", 10e-3, 7e-3, 2.0e-3},
+      {"bottom edge", 5e-3, 0.0, 1.5e-3},
+      {"left edge", 0.0, 3.5e-3, 1.0e-3},
+      {"right edge", 10e-3, 2.2e-3, 1.3e-3},
+      {"interior", 4.1e-3, 3.3e-3, 2.7e-3},
+      {"interior on nodes", 20 * pitch_x, 3.5e-3, 4 * pitch_x},
+      {"smaller than a pitch, between nodes", 4.1e-3, 3.3e-3,
+       0.3 * pitch_x},
+      {"smaller than a pitch, on a node", 12 * pitch_x, 0.0, 0.5 * pitch_x},
+      {"larger than the die", 5e-3, 3.5e-3, 30e-3},
+  };
+  for (const Patch& p : patches) {
+    const std::vector<VrAttachment> legs =
+        patch_attachment(m, Length{p.cx}, Length{p.cy}, Length{p.side},
+                         1.0_V, 2.0_mOhm);
+    const std::vector<std::size_t> want = brute(p.cx, p.cy, p.side);
+    ASSERT_EQ(legs.size(), want.size()) << p.where;
+    if (p.side >= pitch_x) {
+      EXPECT_GT(legs.size(), 1u) << p.where;
+    }
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(legs[k].node, want[k]) << p.where << " leg " << k;
+      EXPECT_EQ(legs[k].source_voltage.value, 1.0) << p.where;
+      EXPECT_EQ(legs[k].series.value,
+                (2.0_mOhm).value * static_cast<double>(want.size()))
+          << p.where;
+    }
+  }
+}
+
 TEST(Mesh, LaplacianIsSymmetricWithZeroRowSums) {
   const GridMesh m = die_mesh(6);
   const CsrMatrix a(m.laplacian());

@@ -654,6 +654,123 @@ TEST(Multigrid, RejectsMissingOrMismatchedHierarchy) {
   EXPECT_THROW(solve_cg(a, b, options), InvalidArgument);
 }
 
+TEST(Multigrid, RejectsOperatorsOffTheGridStencil) {
+  // The hierarchy's coarse patterns are exact for the 5-point stencil
+  // only, so factor() takes exactly that fine pattern: an extra coupling
+  // or a missing edge slot is a named precondition failure.
+  Rng rng(43);
+  const MgSymbolic hierarchy(8, 8);
+  const Vector b = random_vector(rng, 64);
+  CgOptions options;
+  options.preconditioner = CgPreconditioner::kMultigrid;
+  options.mg_symbolic = &hierarchy;
+  const CsrMatrix good = random_spd_laplacian(rng, 8, 8, 3);
+  EXPECT_TRUE(solve_cg(good, b, options).converged);
+
+  // Rebuilds `good` entry by entry, leaving out the (0, 1) edge slot when
+  // asked.
+  const auto rebuild = [&good](bool drop_edge) {
+    TripletList t(64, 64);
+    for (std::size_t r = 0; r < 64; ++r)
+      for (std::size_t k = good.row_offsets()[r];
+           k < good.row_offsets()[r + 1]; ++k) {
+        const std::size_t c = good.col_indices()[k];
+        if (drop_edge && r + c == 1) continue;
+        t.add(r, c, good.values()[k]);
+      }
+    return t;
+  };
+  TripletList extra = rebuild(false);
+  extra.add(0, 9, -0.1);  // a diagonal neighbour: not a grid edge
+  extra.add(9, 0, -0.1);
+  EXPECT_THROW(solve_cg(CsrMatrix(extra), b, options), InvalidArgument);
+
+  MgPreconditioner mg;
+  EXPECT_THROW(mg.factor(CsrMatrix(rebuild(true)), hierarchy), InvalidArgument);
+}
+
+TEST(Multigrid, FactorOutlivesTheHierarchyItWasBuiltOn) {
+  // A workspace keeps its factor after the mesh pattern that lent the
+  // hierarchy is gone (a mesh-cache entry may be dropped between solves);
+  // the factor holds a share of the hierarchy, so applies stay valid and
+  // unchanged.
+  const CsrMatrix a = pinned_mesh_operator();
+  Rng rng(47);
+  const Vector r = random_vector(rng, a.rows());
+  MgPreconditioner kept;
+  Vector reference;
+  {
+    const MgSymbolic hierarchy(37, 29);
+    kept.factor(a, hierarchy);
+    kept.apply(r, reference);
+  }
+  Vector z;
+  kept.apply(r, z);
+  EXPECT_EQ(z, reference);
+}
+
+TEST(Multigrid, ConcurrentWorkspacesShareOneHierarchyBitIdentically) {
+  // Four threads, each with its own workspace and preconditioner, factor
+  // and apply over one shared hierarchy while the others do the same. The
+  // hierarchy is read-only shared state, so every output must carry the
+  // bits of the serial run.
+  constexpr std::size_t kThreads = 4;
+  const MgSymbolic hierarchy(37, 29);
+  const CsrMatrix base = pinned_mesh_operator();
+  const std::size_t n = base.rows();
+  Rng rng(53);
+  std::vector<CsrMatrix> operators;
+  std::vector<Vector> rhs;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    CsrMatrix a = base;
+    a.add_to_entry(97 * t, 97 * t, 10.0 * static_cast<double>(t + 1));
+    operators.push_back(std::move(a));
+    rhs.push_back(random_vector(rng, n));
+  }
+  struct Outputs {
+    Vector z;
+    std::vector<CgResult> solves;
+  };
+  const auto run = [&](std::size_t t) {
+    Outputs out;
+    MgPreconditioner mg;
+    mg.factor(operators[t], hierarchy);
+    mg.apply(rhs[t], out.z);
+    CgWorkspace ws;
+    CgOptions options;
+    options.preconditioner = CgPreconditioner::kMultigrid;
+    options.mg_symbolic = &hierarchy;
+    // Alternating operators make every solve a refactor of the
+    // workspace's setup, interleaved with the other threads' factors.
+    for (std::size_t k = 0; k < kThreads; ++k)
+      out.solves.push_back(
+          solve_cg(operators[(t + k) % kThreads], rhs[t], options, ws));
+    return out;
+  };
+
+  std::vector<Outputs> serial;
+  for (std::size_t t = 0; t < kThreads; ++t) serial.push_back(run(t));
+  std::vector<Outputs> parallel(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] { parallel[t] = run(t); });
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(parallel[t].z, serial[t].z) << "thread " << t;
+    ASSERT_EQ(parallel[t].solves.size(), serial[t].solves.size());
+    for (std::size_t k = 0; k < serial[t].solves.size(); ++k) {
+      const CgResult& got = parallel[t].solves[k];
+      const CgResult& want = serial[t].solves[k];
+      ASSERT_TRUE(want.converged);
+      EXPECT_EQ(got.x, want.x) << "thread " << t << " solve " << k;
+      EXPECT_EQ(got.iterations, want.iterations);
+      EXPECT_EQ(bits_of(got.residual_norm), bits_of(want.residual_norm));
+    }
+  }
+}
+
 TEST(Multigrid, SolvesSeveredMeshLikeIc) {
   // Grounded floating nodes perturb the operator values but not its
   // pattern, so the grid-stencil hierarchy still applies.
